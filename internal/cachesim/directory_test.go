@@ -103,11 +103,12 @@ func TestProbeCountParity(t *testing.T) {
 		for op := 0; op < 50_000; op++ {
 			c := int(r.Uint64() % 8)
 			block := r.Uint64() % 512
-			switch r.Uint64() % 5 {
+			switch r.Uint64() % 4 {
 			case 0:
-				if _, hit, holders, _ := g.DemandAccess(c, block); !hit {
+				// The demand path: a local miss snoops the peers, then fills.
+				if _, hit := g.Cache(c).Access(block); !hit {
 					st := Shared
-					if holders == 0 {
+					if g.HolderMask(block)&^(1<<uint(c)) == 0 {
 						st = Exclusive
 					}
 					g.Cache(c).Insert(block, InsertMRU, Line{State: st, Owner: int16(c)})
@@ -115,10 +116,8 @@ func TestProbeCountParity(t *testing.T) {
 			case 1:
 				g.HolderMask(block)
 			case 2:
-				g.Probe(block)
-			case 3:
 				g.InvalidateOthers(block, c)
-			case 4:
+			case 3:
 				g.LastCopy(block, c)
 			}
 		}

@@ -36,8 +36,8 @@ type CacheGroup struct {
 	// dir, when non-nil, answers every holder-mask question from the
 	// set-sharded directory (directory.go) instead of a row scan; the members
 	// keep it current through their residency hooks. probes counts coherence
-	// queries (holder mask, probe, demand-miss peer scan, invalidate-others)
-	// at the same call sites in both modes, so directory and broadcast runs
+	// queries (holder mask, last copy, invalidate-others) at the same call
+	// sites in both modes, so directory and broadcast runs
 	// of one workload report identical probe counts.
 	dir    *Directory
 	probes uint64
@@ -179,179 +179,6 @@ func (g *CacheGroup) holderMask(block uint64) uint64 {
 // row scan.
 func (g *CacheGroup) LastCopy(block uint64, except int) bool {
 	return g.HolderMask(block)&^(1<<uint(except)) == 0
-}
-
-// GroupProbe is one block's fused coherence answer: which members hold a
-// valid copy, and the way of the copy inside the lowest-index holder (the
-// member a demand miss would be served from). Way is -1 when Holders == 0.
-type GroupProbe struct {
-	Holders uint64
-	Way     int8
-}
-
-// LastCopyFor reports whether the probe's holder set, minus member except,
-// is empty — the batch-probe form of LastCopy.
-func (p GroupProbe) LastCopyFor(except int) bool {
-	return p.Holders&^(1<<uint(except)) == 0
-}
-
-// Probe answers one block's holder mask and first-holder way without
-// touching any member state — HolderMask and the subsequent holder Lookup
-// fused into the same row scan (or, with the directory, one hash lookup plus
-// a single Lookup inside the lowest-index holder). The prefetch filter ("is
-// this block on chip anywhere?") and the batch entry point below are built
-// on it.
-func (g *CacheGroup) Probe(block uint64) GroupProbe {
-	g.probes++
-	if g.dir != nil {
-		pr := GroupProbe{Holders: g.dir.holders(block), Way: -1}
-		if pr.Holders != 0 {
-			if w, ok := g.members[bits.TrailingZeros64(pr.Holders)].Lookup(block); ok {
-				pr.Way = int8(w)
-			}
-		}
-		return pr
-	}
-	if !g.fused {
-		pr := GroupProbe{Way: -1}
-		for i, c := range g.members {
-			if w, ok := c.Lookup(block); ok {
-				if pr.Holders == 0 {
-					pr.Way = int8(w)
-				}
-				pr.Holders |= 1 << uint(i)
-			}
-		}
-		return pr
-	}
-	si := int(block & g.setMask)
-	base := si * g.rowStride
-	pr := GroupProbe{Way: -1}
-	for c, pw := 0, g.pw; c < len(g.members); c++ {
-		seg := g.tags[base+c*pw : base+c*pw+pw : base+c*pw+pw]
-		if m := matchMask(seg, block) & g.members[c].meta[si].valid; m != 0 {
-			if pr.Holders == 0 {
-				pr.Way = int8(bits.TrailingZeros64(m))
-			}
-			pr.Holders |= 1 << uint(c)
-		}
-	}
-	return pr
-}
-
-// ProbeBatch answers holder masks and last-copy verdicts (via
-// GroupProbe.LastCopyFor) for a batch of blocks — up to a turn's worth of
-// demand misses — in one pass over the ganged slab, one fused row scan per
-// block. out must be at least len(blocks) long; the answers land in
-// out[:len(blocks)]. Like Probe it reads no per-member recency or counter
-// state, so a batch probe commutes with the per-block decision work that
-// follows it as long as no member mutates between probe and use (the
-// batched below-L1 engine in internal/cmp re-probes mutating sequences
-// block by block through DemandAccess for exactly that reason).
-func (g *CacheGroup) ProbeBatch(blocks []uint64, out []GroupProbe) {
-	if len(blocks) == 0 {
-		return
-	}
-	_ = out[len(blocks)-1]
-	for i, b := range blocks {
-		out[i] = g.Probe(b)
-	}
-}
-
-// DemandAccess is member c's demand lookup fused with the miss path's
-// coherence probe: it performs exactly c.Access(block) — hit/miss counters
-// and the packed MRU touch included — and, on a miss, continues the same
-// ganged-row scan across the peer segments, returning the peer holder mask
-// and the way of the block inside the lowest-index holder (hway, -1 when no
-// peer holds it). On a hit the peer segments are not read (holders and hway
-// are 0 and -1): the hit path needs no coherence answer, and keeping it as
-// cheap as Access is what lets the hot path use this unconditionally.
-//
-// For the coherence engine this replaces the Access -> HolderMask -> holder
-// Lookup triple of the unbatched miss path with one pass over one row.
-func (g *CacheGroup) DemandAccess(c int, block uint64) (way int, hit bool, holders uint64, hway int) {
-	cache := g.members[c]
-	if g.dir != nil {
-		way, hit = cache.Access(block)
-		if hit {
-			return way, true, 0, -1
-		}
-		g.probes++
-		holders = g.dir.holders(block) &^ (1 << uint(c))
-		hway = -1
-		if holders != 0 {
-			if w, ok := g.members[bits.TrailingZeros64(holders)].Lookup(block); ok {
-				hway = w
-			}
-		}
-		return -1, false, holders, hway
-	}
-	if !g.fused || cache.wide != nil {
-		way, hit = cache.Access(block)
-		if hit {
-			return way, true, 0, -1
-		}
-		g.probes++
-		hway = -1
-		for i, m := range g.members {
-			if i == c {
-				continue
-			}
-			if w, ok := m.Lookup(block); ok {
-				if holders == 0 {
-					hway = w
-				}
-				holders |= 1 << uint(i)
-			}
-		}
-		return -1, false, holders, hway
-	}
-	si := int(block & g.setMask)
-	m := &cache.meta[si]
-	base := si * g.rowStride
-	lbase := base + c*g.pw
-	// Local segment: Access's open-coded packed fast path (cachesim.go).
-	var match uint64
-	switch cache.ways {
-	case 8:
-		t := g.tags[lbase : lbase+8 : lbase+8]
-		match = b2u(t[0] == block) | b2u(t[1] == block)<<1 |
-			b2u(t[2] == block)<<2 | b2u(t[3] == block)<<3 |
-			b2u(t[4] == block)<<4 | b2u(t[5] == block)<<5 |
-			b2u(t[6] == block)<<6 | b2u(t[7] == block)<<7
-	case 4:
-		t := g.tags[lbase : lbase+4 : lbase+4]
-		match = b2u(t[0] == block) | b2u(t[1] == block)<<1 |
-			b2u(t[2] == block)<<2 | b2u(t[3] == block)<<3
-	default:
-		match = matchMask(g.tags[lbase:lbase+cache.ways:lbase+cache.ways], block)
-	}
-	if match &= m.valid; match != 0 {
-		w := bits.TrailingZeros64(match)
-		m.hits++
-		o := m.order
-		p := nibblePos(o, w)
-		low := uint64(1)<<(4*uint(p)) - 1
-		hi := ^uint64(0) << (4 * uint(p+1))
-		m.order = o&hi | (o&low)<<4 | uint64(w)
-		return w, true, 0, -1
-	}
-	m.misses++
-	g.probes++
-	hway = -1
-	for r, pw := 0, g.pw; r < len(g.members); r++ {
-		if r == c {
-			continue
-		}
-		seg := g.tags[base+r*pw : base+r*pw+pw : base+r*pw+pw]
-		if pm := matchMask(seg, block) & g.members[r].meta[si].valid; pm != 0 {
-			if holders == 0 {
-				hway = bits.TrailingZeros64(pm)
-			}
-			holders |= 1 << uint(r)
-		}
-	}
-	return -1, false, holders, hway
 }
 
 // InvalidateOthers removes block from every member except `except` and

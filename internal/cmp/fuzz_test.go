@@ -11,22 +11,16 @@ import (
 )
 
 // FuzzBurstEquivalence drives a random machine and reference stream through
-// every below-L1 engine — the fused L1→L2 kernel (fused.go),
-// the same engine under speculative in-run parallelism (SimParallel from a
-// seed byte), the per-reference descent (EngineRefStep) and the batched
-// turn engine (EngineBatched) — and demands all of them bit-identical to
-// the frozen per-reference stepping (refRun, refstep_test.go): frozen
-// CoreStats, final core clocks, the complete L1 and L2 state (tags, line
-// flags, recency stacks, set counters) and the batch cursors. The decoded
-// input varies every event class the kernels can hit: quota and frontier
-// cut points (diverse BaseCPI), write-hit upgrades (random store bits over
-// a tiny block space, exercising the fused kernel's refusal of Shared-line
-// writes), clean-hit absorption runs (read-heavy streams over an
-// L1-thrashing L2-resident working set), batch wrap-around (streams longer
-// than the 64-ref batch), all kernel paths (4-way specialized, non-4-way
-// generic), and the prefetcher (under which the fused engine falls back to
-// the per-descent stepping and the batched engine disables policy-event
-// deferral).
+// the engine (runPhase) and demands it bit-identical to the frozen
+// per-reference stepping (refRun, refstep_test.go): frozen CoreStats, final
+// core clocks, the complete L1 and L2 state (tags, line flags, recency
+// stacks, set counters) and the batch cursors. The decoded input varies
+// every event class the kernel can hit: quota and frontier cut points
+// (diverse BaseCPI), write-hit upgrades (random store bits over a tiny
+// block space), long L2-hit runs (read-heavy streams over an L1-thrashing
+// L2-resident working set), batch wrap-around (streams longer than the
+// 64-ref batch), both kernel paths (4-way specialized, non-4-way generic),
+// and the prefetcher.
 func FuzzBurstEquivalence(f *testing.F) {
 	f.Add([]byte("burst-kernel-seed"))
 	f.Add([]byte{3, 1, 1, 9, 1, 0x10, 2, 1, 0x31, 5, 0, 0x52, 7, 1})
@@ -34,7 +28,7 @@ func FuzzBurstEquivalence(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 4, 1, 0xFF, 0, 1})
 	// L2-hit-heavy: one core, specialized 4-way L1, a read-only cycle over
 	// 21 distinct blocks — far beyond the tiny L1 but L2-resident, so
-	// nearly every access is an absorbable clean local hit.
+	// nearly every access is a clean local L2 hit.
 	f.Add([]byte{
 		0, 1, 0, 120, 0,
 		0, 1, 0, 3, 1, 0, 6, 1, 0, 9, 1, 0, 12, 1, 0, 15, 1, 0, 18, 1, 0,
@@ -42,15 +36,14 @@ func FuzzBurstEquivalence(f *testing.F) {
 		42, 1, 0, 45, 1, 0, 48, 1, 0, 51, 1, 0, 54, 1, 0, 57, 1, 0, 60, 1, 0,
 	})
 	// Upgrade-heavy: two cores, every reference a store over overlapping
-	// blocks — Shared-line write hits (absorption refused, descent
-	// upgrades) and first-store L1 upgrades dominate.
+	// blocks — Shared-line write-hit upgrades and first-store L1 upgrades
+	// dominate.
 	f.Add([]byte{
 		1, 1, 1, 80, 16,
 		0, 1, 1, 8, 1, 1, 16, 1, 1, 24, 1, 1, 0, 2, 1, 8, 2, 1,
 		0, 1, 1, 8, 1, 1, 16, 1, 1, 24, 1, 1, 0, 2, 1, 16, 2, 1,
 	})
-	// Parallel widths: cores=3, SimParallel=3 (data[4] high bits), mixed
-	// read/write stream — the speculative fused engine against the oracle.
+	// Three cores, mixed read/write stream.
 	f.Add([]byte{
 		2, 1, 1, 60, 12,
 		5, 1, 0, 10, 1, 1, 15, 1, 0, 20, 1, 0, 25, 1, 1, 30, 1, 0,
@@ -68,7 +61,6 @@ func FuzzBurstEquivalence(f *testing.F) {
 		if data[4]%2 == 1 {
 			warmup = quota / 3
 		}
-		simPar := int(data[4]>>2) % 4 // 0..3 speculative workers
 		p := tinyParams(cores)
 		p.L1 = cachesim.Config{SizeBytes: 32 * 2 * l1Ways, Ways: l1Ways, LineBytes: 32}
 		if data[4]&2 != 0 {
@@ -100,10 +92,7 @@ func FuzzBurstEquivalence(f *testing.F) {
 		for i := range timing {
 			timing[i] = CoreTiming{BaseCPI: 1 + float64((int(data[0])+i)%3)/2, Overlap: 0.5}
 		}
-		build := func(engine Engine, simParallel int) *System {
-			pv := p
-			pv.Engine = engine
-			pv.SimParallel = simParallel
+		build := func() *System {
 			gens := make([]trace.Generator, cores)
 			for i := range gens {
 				gens[i] = script(i)
@@ -117,46 +106,30 @@ func FuzzBurstEquivalence(f *testing.F) {
 			} else {
 				pol = policies.NewBaseline()
 			}
-			sys, err := New(pv, gens, timing, pol)
+			sys, err := New(p, gens, timing, pol)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return sys
 		}
 
-		arms := []struct {
-			name string
-			sys  *System
-		}{
-			{"fused", build(EngineFused, 0)},
-			{"refstep", build(EngineRefStep, 0)},
-			{"batched", build(EngineBatched, 0)},
-		}
-		if simPar > 1 {
-			arms = append(arms, struct {
-				name string
-				sys  *System
-			}{"fused-parallel", build(EngineFused, simPar)})
-		}
-		oracle := build(EngineRefStep, 0)
+		sys := build()
+		oracle := build()
+		gotRes := sys.Run(warmup, quota)
 		wantRes := oracle.refRun(warmup, quota)
-
-		for _, arm := range arms {
-			gotRes := arm.sys.Run(warmup, quota)
-			if !reflect.DeepEqual(gotRes, wantRes) {
-				t.Errorf("results diverge:\n%s: %+v\nper-ref: %+v", arm.name, gotRes, wantRes)
+		if !reflect.DeepEqual(gotRes, wantRes) {
+			t.Errorf("results diverge:\nengine:  %+v\nper-ref: %+v", gotRes, wantRes)
+		}
+		for i := 0; i < cores; i++ {
+			if sys.clock[i] != oracle.clock[i] {
+				t.Errorf("core %d clock: engine %v, per-ref %v", i, sys.clock[i], oracle.clock[i])
 			}
-			for i := 0; i < cores; i++ {
-				if arm.sys.clock[i] != oracle.clock[i] {
-					t.Errorf("core %d clock: %s %v, per-ref %v", i, arm.name, arm.sys.clock[i], oracle.clock[i])
-				}
-				if arm.sys.batches[i].Pos != oracle.batches[i].Pos {
-					t.Errorf("core %d batch cursor: %s %d, per-ref %d",
-						i, arm.name, arm.sys.batches[i].Pos, oracle.batches[i].Pos)
-				}
-				compareCaches(t, "L1/"+arm.name, i, arm.sys.l1s[i], oracle.l1s[i])
-				compareCaches(t, "L2/"+arm.name, i, arm.sys.L2(i), oracle.L2(i))
+			if sys.batches[i].Pos != oracle.batches[i].Pos {
+				t.Errorf("core %d batch cursor: engine %d, per-ref %d",
+					i, sys.batches[i].Pos, oracle.batches[i].Pos)
 			}
+			compareCaches(t, "L1", i, sys.l1s[i], oracle.l1s[i])
+			compareCaches(t, "L2", i, sys.L2(i), oracle.L2(i))
 		}
 	})
 }
@@ -168,14 +141,14 @@ func compareCaches(t *testing.T, level string, core int, a, b *cachesim.Cache) {
 	sets, ways := a.NumSets(), a.Ways()
 	for si := 0; si < sets; si++ {
 		if sa, sb := a.SetStatsFor(si), b.SetStatsFor(si); sa != sb {
-			t.Errorf("%s[%d] set %d stats: burst %+v, per-ref %+v", level, core, si, sa, sb)
+			t.Errorf("%s[%d] set %d stats: engine %+v, per-ref %+v", level, core, si, sa, sb)
 		}
 		if ra, rb := a.RecencyStack(si), b.RecencyStack(si); !reflect.DeepEqual(ra, rb) {
-			t.Errorf("%s[%d] set %d recency: burst %v, per-ref %v", level, core, si, ra, rb)
+			t.Errorf("%s[%d] set %d recency: engine %v, per-ref %v", level, core, si, ra, rb)
 		}
 		for w := 0; w < ways; w++ {
 			if la, lb := *a.Line(si, w), *b.Line(si, w); la != lb {
-				t.Errorf("%s[%d] set %d way %d: burst %+v, per-ref %+v", level, core, si, w, la, lb)
+				t.Errorf("%s[%d] set %d way %d: engine %+v, per-ref %+v", level, core, si, w, la, lb)
 			}
 		}
 	}
