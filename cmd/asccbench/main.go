@@ -50,7 +50,6 @@ type options struct {
 	storeDir   string // resolved -arena-store root; "" = store off
 	prewarm    bool
 	cores      int
-	directory  bool
 	sample     string
 	timing     bool
 	cpuprofile string
@@ -184,7 +183,6 @@ func (o options) config() ascc.Config {
 	cfg.TraceCacheMB = o.traceMB
 	cfg.ArenaStoreDir = o.storeDir
 	cfg.Cores = o.cores
-	cfg.NoDirectory = !o.directory
 	cfg.SampleDen, _ = ascc.ParseSampleRatio(o.sample) // validated
 	if o.scale != 8 {
 		// Scale the default budgets so reuse cycles complete (DESIGN.md §5).
@@ -200,17 +198,23 @@ func (o options) config() ascc.Config {
 	return cfg
 }
 
-// retiredFlag rejects the flags that selected the removed below-L1 engines
-// with a pointer to why they went, instead of flag's generic "provided but
-// not defined" error.
+// retiredFlags maps each removed flag to why it went.
+var retiredFlags = map[string]string{
+	"engine":       "the per-reference descent is the only engine (DESIGN.md §12)",
+	"sim-parallel": "the per-reference descent is the only engine (DESIGN.md §12)",
+	"directory":    "the coherence mode follows the core count and L2 ways (DESIGN.md §13)",
+}
+
+// retiredFlag rejects the removed flags with a pointer to why they went,
+// instead of flag's generic "provided but not defined" error.
 func retiredFlag(args []string) error {
 	for _, a := range args {
 		if a == "--" {
 			break
 		}
 		name, _, _ := strings.Cut(strings.TrimPrefix(strings.TrimPrefix(a, "-"), "-"), "=")
-		if a != name && (name == "engine" || name == "sim-parallel") {
-			return fmt.Errorf("-%s was removed: the per-reference descent is the only engine (DESIGN.md §12)", name)
+		if why, ok := retiredFlags[name]; ok && a != name {
+			return fmt.Errorf("-%s was removed: %s", name, why)
 		}
 	}
 	return nil
@@ -240,7 +244,6 @@ func main() {
 	flag.BoolVar(&o.prewarm, "prewarm", false, "synthesise and persist every stream arena the experiment suite uses, then exit (requires -arena-store; later runs replay instead of regenerating)")
 	flag.IntVar(&o.cores, "cores", 0, "widen every mix to this many cores by cyclic replication, max 64 (0 = each mix's natural width; single-app calibrations stay one-core)")
 	flag.StringVar(&o.sample, "sample", "off", "set-sampled fast-path ratio: 1/N simulates a deterministic 1/N subset of the LLC sets (always including the policies' leader sets) on pre-filtered streams, off (the default) runs full fidelity; single-core per-set behaviour is exact, multi-core results are close estimates (DESIGN.md §16)")
-	flag.BoolVar(&o.directory, "directory", true, "answer coherence holder-mask queries from the set-sharded directory (results are bit-identical either way; -directory=false is the broadcast row-scan A/B reference)")
 	flag.BoolVar(&o.timing, "timing", false, "print wall-clock after each experiment table or ad-hoc run (to stderr under -format csv/json so the stream stays parseable)")
 	flag.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile of the run to this file (inspect with go tool pprof)")
 	flag.StringVar(&o.memprofile, "memprofile", "", "write a heap profile taken at exit to this file")

@@ -8,7 +8,7 @@ import (
 
 // base returns the options the flag defaults produce.
 func base() options {
-	return options{scale: 8, seeds: 1, policy: "AVGCC", format: "text", traceCache: true, directory: true}
+	return options{scale: 8, seeds: 1, policy: "AVGCC", format: "text", traceCache: true}
 }
 
 func TestValidate(t *testing.T) {
@@ -48,8 +48,6 @@ func TestValidate(t *testing.T) {
 		{"cores negative", func(o *options) { o.exp = "fig8"; o.cores = -4 }, "-cores"},
 		{"cores over mask", func(o *options) { o.exp = "fig8"; o.cores = 65 }, "-cores"},
 		{"cores with trace", func(o *options) { o.traces = "a.trc"; o.cores = 8 }, "-cores"},
-		{"directory off ok", func(o *options) { o.exp = "all"; o.directory = false }, ""},
-		{"directory off with mix ok", func(o *options) { o.mix = "445+456"; o.directory = false }, ""},
 		{"arena store with exp ok", func(o *options) { o.exp = "all"; o.storeDir = "/tmp/arenas" }, ""},
 		{"arena store with mix ok", func(o *options) { o.mix = "445+456"; o.storeDir = "/tmp/arenas" }, ""},
 		{"arena store without cache", func(o *options) { o.exp = "fig8"; o.storeDir = "/tmp/arenas"; o.traceCache = false }, "-trace-cache=false"},
@@ -125,8 +123,8 @@ type retiredCase struct {
 }
 
 // checkRetired runs retiredFlag over each case: a rejection must name the
-// flag and point at the removal section of DESIGN.md.
-func checkRetired(t *testing.T, cases []retiredCase) {
+// flag and point at the DESIGN.md section that records its removal.
+func checkRetired(t *testing.T, section string, cases []retiredCase) {
 	t.Helper()
 	for _, tc := range cases {
 		err := retiredFlag(tc.args)
@@ -135,8 +133,8 @@ func checkRetired(t *testing.T, cases []retiredCase) {
 			t.Errorf("%q: unexpected error %v", tc.args, err)
 		case tc.wantErr != "" && err == nil:
 			t.Errorf("%q: accepted, want error mentioning %q", tc.args, tc.wantErr)
-		case err != nil && (!strings.Contains(err.Error(), tc.wantErr) || !strings.Contains(err.Error(), "DESIGN.md §12")):
-			t.Errorf("%q: error %q does not mention %q and DESIGN.md §12", tc.args, err, tc.wantErr)
+		case err != nil && (!strings.Contains(err.Error(), tc.wantErr) || !strings.Contains(err.Error(), section)):
+			t.Errorf("%q: error %q does not mention %q and %s", tc.args, err, tc.wantErr, section)
 		}
 	}
 }
@@ -146,7 +144,7 @@ func checkRetired(t *testing.T, cases []retiredCase) {
 // fails with a pointer to the removal, while look-alikes (a positional
 // "engine", or -engine after the "--" terminator) pass through.
 func TestConfigEngine(t *testing.T) {
-	checkRetired(t, []retiredCase{
+	checkRetired(t, "DESIGN.md §12", []retiredCase{
 		{[]string{"-exp", "all", "-engine", "fused"}, "-engine was removed"},
 		{[]string{"-exp", "all", "-engine=batched"}, "-engine was removed"},
 		{[]string{"--engine", "refstep", "-exp", "fig8"}, "-engine was removed"},
@@ -157,33 +155,38 @@ func TestConfigEngine(t *testing.T) {
 }
 
 // TestRetiredFlags pins the rejection of -sim-parallel, the flag that
-// selected the removed speculative engine, and that ordinary command lines
+// selected the removed speculative engine, and of -directory, the coherence
+// mode switch the L2 geometry now decides, and that ordinary command lines
 // pass the check.
 func TestRetiredFlags(t *testing.T) {
-	checkRetired(t, []retiredCase{
+	checkRetired(t, "DESIGN.md §12", []retiredCase{
 		{[]string{"-exp", "fig8"}, ""},
 		{[]string{"-exp", "all", "-sim-parallel", "4"}, "-sim-parallel was removed"},
 		{[]string{"-exp", "fig8", "--sim-parallel=1"}, "-sim-parallel was removed"},
 		{[]string{"-exp", "all", "-sample", "1/8", "-sim-parallel", "4"}, "-sim-parallel was removed"},
 		{[]string{"-exp", "fig8", "--", "-sim-parallel"}, ""},
 	})
+	checkRetired(t, "DESIGN.md §13", []retiredCase{
+		{[]string{"-exp", "all", "-directory"}, "-directory was removed"},
+		{[]string{"-exp", "all", "-directory=false"}, "-directory was removed"},
+		{[]string{"--directory", "-mix", "445+456"}, "-directory was removed"},
+		{[]string{"-exp", "scaleout", "-cores", "16", "-directory=true"}, "-directory was removed"},
+		{[]string{"-exp", "all", "-sample", "1/8", "--directory=false"}, "-directory was removed"},
+		{[]string{"-mix", "445+456", "directory"}, ""},
+		{[]string{"-exp", "fig8", "--", "-directory"}, ""},
+	})
 }
 
-// TestConfigScaleout pins the -cores/-directory plumbing into the harness
+// TestConfigScaleout pins the -cores plumbing into the harness
 // configuration.
 func TestConfigScaleout(t *testing.T) {
-	cfg := base().config()
-	if cfg.Cores != 0 || cfg.NoDirectory {
-		t.Fatalf("defaults not neutral: %+v", cfg)
+	if cfg := base().config(); cfg.Cores != 0 {
+		t.Fatalf("default Cores = %d, want 0 (each mix's natural width)", cfg.Cores)
 	}
 	o := base()
-	o.cores, o.directory = 64, false
-	cfg = o.config()
-	if cfg.Cores != 64 {
+	o.cores = 64
+	if cfg := o.config(); cfg.Cores != 64 {
 		t.Fatalf("-cores not propagated: %d", cfg.Cores)
-	}
-	if !cfg.NoDirectory {
-		t.Fatal("-directory=false did not propagate to the config")
 	}
 }
 

@@ -1,10 +1,12 @@
 // The set-sharded coherence directory: a Directory layered over a CacheGroup
 // answers "which members hold block X" from a per-shard hash table instead of
 // scanning the ganged tag row. The broadcast row scan is O(cores) per probe
-// (and past 8 cores x 8 ways the fused single-mask scan degrades to
-// per-member probe loops); the directory answers every holder-mask question
-// in O(1) expected — one bounded linear-probe lookup — and invalidation
-// chains in O(holders).
+// and only exists while the row fits one 64-bit match mask; the directory
+// answers every holder-mask question in O(1) expected — one bounded
+// linear-probe lookup — and invalidation chains in O(holders). NewGroup
+// builds it for every group wider than the fused row (past 8 cores x 8 ways);
+// narrower groups keep the scan, which wins end to end there because it has
+// no per-insert maintenance to pay (DESIGN.md §13).
 //
 // Layout: the group's set index space is split into contiguous ranges, one
 // per shard, so a shard owns every line whose set row falls in its range —

@@ -1,8 +1,9 @@
 // White-box tests for the set-sharded coherence directory: shard hash-table
 // mechanics (collision chains, backward-shift deletion), maintenance against
-// a map oracle under random group traffic, and the probe-cost benchmarks the
-// scaleout block of scripts/bench_kernel.sh records (broadcast row scan vs
-// directory lookup at 4/16/64 cores). The black-box differential wall lives
+// a map oracle under random group traffic, the geometry rule that picks the
+// coherence mode, and the probe-cost benchmarks the scaleout block of
+// scripts/bench_kernel.sh records (broadcast row scan at 4/8 cores,
+// directory lookup at 4/8/16/64). The black-box differential wall lives
 // in group_diff_test.go; FuzzDirectoryEquivalence in internal/cmp pins the
 // full engine.
 package cachesim
@@ -78,6 +79,42 @@ func TestEnableDirectoryIndexesExistingContents(t *testing.T) {
 	}
 }
 
+// TestNewGroupPicksCoherenceMode pins the construction-time rule: a group
+// whose ganged row fits one 64-bit match mask on the packed kernel keeps the
+// fused broadcast scan; anything wider, or unpacked, gets the directory.
+func TestNewGroupPicksCoherenceMode(t *testing.T) {
+	cases := []struct {
+		n, ways   int
+		directory bool
+	}{
+		{1, 16, false},
+		{4, 8, false}, // the paper's machine
+		{8, 8, false}, // 64 row ways: the fused boundary
+		{16, 4, false},
+		{9, 8, true},
+		{17, 4, true},
+		{2, 32, true}, // 64 row ways, but past the packed kernel
+	}
+	for _, tc := range cases {
+		cfg := Config{SizeBytes: 4 * tc.ways * 64, Ways: tc.ways, LineBytes: 64}
+		g := NewGroup(tc.n, cfg)
+		if got := g.DirectoryEnabled(); got != tc.directory {
+			t.Errorf("%d members x %d ways: DirectoryEnabled() = %v, want %v", tc.n, tc.ways, got, tc.directory)
+		}
+		if !tc.directory {
+			continue
+		}
+		// Forcing the directory on a group that already has one keeps the
+		// index it has maintained, not a rebuilt copy.
+		g.Cache(0).Insert(3, InsertMRU, Line{State: Shared})
+		d := g.dir
+		g.EnableDirectory()
+		if g.dir != d || g.HolderMask(3) != 1 {
+			t.Errorf("%d members x %d ways: EnableDirectory on a directory group was not a no-op", tc.n, tc.ways)
+		}
+	}
+}
+
 // TestNewGroupRejectsOversizedGroups pins the uint64 holder-mask limit.
 func TestNewGroupRejectsOversizedGroups(t *testing.T) {
 	cfg := Config{SizeBytes: 2 * 8 * 64, Ways: 8, LineBytes: 64}
@@ -131,6 +168,8 @@ func TestProbeCountParity(t *testing.T) {
 
 // benchGroup builds an n-member group with a mixed-sharing resident
 // population: roughly half the blocks private, the rest held by 2..5 members.
+// Groups past the fused row width are directory-backed whatever directory
+// says.
 func benchGroup(n int, directory bool) (*CacheGroup, []uint64) {
 	cfg := Config{SizeBytes: 512 * 8 * 64, Ways: 8, LineBytes: 64}
 	g := NewGroup(n, cfg)
@@ -152,21 +191,28 @@ func benchGroup(n int, directory bool) (*CacheGroup, []uint64) {
 }
 
 // BenchmarkCoherenceProbe measures one HolderMask query — the primitive
-// under every miss, eviction and upgrade — in broadcast vs directory mode as
-// the group grows. The acceptance bar for the scaleout bench block: the
-// 64-core directory probe costs at most 2x the 4-core broadcast scan.
+// under every miss, eviction and upgrade — as the group grows: the broadcast
+// scan at the widths where NewGroup keeps it (4 and 8 members of 8 ways),
+// the directory at 4/8/16/64. The acceptance bar for the scaleout bench
+// block: the 64-core directory probe costs at most 2x the 4-core broadcast
+// scan.
 func BenchmarkCoherenceProbe(b *testing.B) {
-	for _, mode := range []string{"broadcast", "directory"} {
-		for _, n := range []int{4, 16, 64} {
-			g, blocks := benchGroup(n, mode == "directory")
-			b.Run(fmt.Sprintf("%s-%dcores", mode, n), func(b *testing.B) {
-				var sink uint64
-				for i := 0; i < b.N; i++ {
-					sink += g.HolderMask(blocks[i&4095])
-				}
-				benchSink = sink
-			})
-		}
+	cells := []struct {
+		mode string
+		n    int
+	}{
+		{"broadcast", 4}, {"broadcast", 8},
+		{"directory", 4}, {"directory", 8}, {"directory", 16}, {"directory", 64},
+	}
+	for _, c := range cells {
+		g, blocks := benchGroup(c.n, c.mode == "directory")
+		b.Run(fmt.Sprintf("%s-%dcores", c.mode, c.n), func(b *testing.B) {
+			var sink uint64
+			for i := 0; i < b.N; i++ {
+				sink += g.HolderMask(blocks[i&4095])
+			}
+			benchSink = sink
+		})
 	}
 }
 

@@ -18,12 +18,15 @@ import (
 // set-interleaved tag/line slab. Each member is a fully functional *Cache —
 // every single-cache operation (Access, Insert, Invalidate, ...) works
 // unchanged and touches only that member's ways — while the group answers
-// cross-member holder queries with a fused scan.
+// cross-member holder queries.
 //
-// The fused path requires every member row to fit one uint64 match mask
-// (n x physical ways <= 64) and the members to use the packed recency
-// kernel; other geometries transparently fall back to per-member probes, so
-// callers never need to special-case.
+// The group picks how it answers them from its geometry, once, in NewGroup:
+// when every member row fits one uint64 match mask (n x physical ways <= 64)
+// and the members use the packed recency kernel — the paper's 4 cores x 8
+// ways, up to 8 x 8 — a fused broadcast scan of the ganged row; otherwise
+// the set-sharded directory (directory.go), which stays O(1) per probe as
+// the group widens. EnableDirectory forces the directory on a fused-width
+// group.
 type CacheGroup struct {
 	members   []*Cache
 	pw        int // physical ways per member set
@@ -31,7 +34,6 @@ type CacheGroup struct {
 	rowStride int // slab elements between consecutive rows (>= rowWays)
 	setMask   uint64
 	tags      []uint64
-	fused     bool
 
 	// dir, when non-nil, answers every holder-mask question from the
 	// set-sharded directory (directory.go) instead of a row scan; the members
@@ -57,7 +59,8 @@ func groupRowStride(rowWays int) int {
 	return lines * 8
 }
 
-// NewGroup builds n ganged caches of identical geometry. It panics on
+// NewGroup builds n ganged caches of identical geometry, with the directory
+// when the ganged row is too wide for the fused broadcast scan. It panics on
 // invalid geometry or n <= 0 (construction happens at configuration time).
 func NewGroup(n int, cfg Config) *CacheGroup {
 	if n <= 0 || n > 64 {
@@ -80,13 +83,18 @@ func NewGroup(n int, cfg Config) *CacheGroup {
 		rowStride: rowStride,
 		setMask:   uint64(numSets - 1),
 		tags:      tags,
-		fused:     rowWays <= 64 && enabled <= packedMaxWays,
 	}
 	for c := 0; c < n; c++ {
 		// Member c's view starts pw elements after member c-1's: with the
 		// shared row stride, its (set, way) index lands inside its own pw-wide
 		// segment of set's row and never aliases a sibling's.
 		g.members[c] = newCache(cfg, rowStride, tags[c*pw:], lines[c*pw:])
+	}
+	// The fused scan needs the whole row in one 64-bit match mask and the
+	// packed kernel's per-set valid word; past either, only the directory
+	// answers in O(1) (DESIGN.md §13).
+	if rowWays > 64 || enabled > packedMaxWays {
+		g.EnableDirectory()
 	}
 	return g
 }
@@ -100,7 +108,10 @@ func (g *CacheGroup) Cache(i int) *Cache { return g.members[i] }
 // EnableDirectory switches the group's coherence queries from broadcast row
 // scans to the set-sharded directory: existing contents are indexed, and
 // from here on every member insert/invalidate keeps the holder entries
-// current. Idempotent; answers are bit-identical to broadcast mode.
+// current. NewGroup already calls it for groups too wide to scan, so it only
+// changes a fused-width group (the differential tests and benchmarks force
+// the directory this way). Idempotent; answers are bit-identical to
+// broadcast mode.
 func (g *CacheGroup) EnableDirectory() {
 	if g.dir != nil {
 		return
@@ -117,19 +128,16 @@ func (g *CacheGroup) EnableDirectory() {
 // DirectoryEnabled reports whether holder queries are directory-backed.
 func (g *CacheGroup) DirectoryEnabled() bool { return g.dir != nil }
 
-// Probes returns the number of coherence queries answered since construction
-// (or the last ResetProbes). The counter is maintained at identical call
-// sites in directory and broadcast mode.
+// Probes returns the number of coherence queries answered since
+// construction. The counter is maintained at identical call sites in
+// directory and broadcast mode.
 func (g *CacheGroup) Probes() uint64 { return g.probes }
-
-// ResetProbes zeroes the coherence probe counter.
-func (g *CacheGroup) ResetProbes() { g.probes = 0 }
 
 // HolderMask returns a bitmask of the members currently holding block (bit i
 // set iff member i has a valid copy). With the directory enabled this is one
-// bounded hash lookup in the block's set shard; on the fused broadcast path
-// it is one scan of the block's ganged tag row plus a per-member AND against
-// the valid words. Stale tags left behind by invalidations can never be
+// bounded hash lookup in the block's set shard; otherwise it is one fused
+// scan of the block's ganged tag row plus a per-member AND against the valid
+// words. Stale tags left behind by invalidations can never be
 // counted in either mode.
 func (g *CacheGroup) HolderMask(block uint64) uint64 {
 	g.probes++
@@ -141,15 +149,6 @@ func (g *CacheGroup) HolderMask(block uint64) uint64 {
 func (g *CacheGroup) holderMask(block uint64) uint64 {
 	if g.dir != nil {
 		return g.dir.holders(block)
-	}
-	if !g.fused {
-		var m uint64
-		for i, c := range g.members {
-			if _, ok := c.Lookup(block); ok {
-				m |= 1 << uint(i)
-			}
-		}
-		return m
 	}
 	base := int(block&g.setMask) * g.rowStride
 	row := g.tags[base : base+g.rowWays : base+g.rowWays]

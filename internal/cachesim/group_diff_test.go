@@ -19,9 +19,9 @@ import (
 )
 
 // groupConfigs are the ganged geometries under test: the paper's 4x8 shape,
-// the fused-width boundary (8x8 = 64 scanned elements), a group wide enough
-// to force the per-member fallback (5x16 = 80), partially enabled ways, and
-// the 1-core degenerate group.
+// the fused-width boundary (8x8 = 64 scanned elements), groups too wide for
+// the fused row (5x16 = 80, 16x8 = 128) that NewGroup builds with the
+// directory, partially enabled ways, and the 1-core degenerate group.
 var groupConfigs = []struct {
 	n   int
 	cfg cachesim.Config
@@ -30,7 +30,7 @@ var groupConfigs = []struct {
 	{2, cachesim.Config{SizeBytes: 8 * 4 * 64, Ways: 4, LineBytes: 64}},   // 2 cores x 4 ways
 	{1, cachesim.Config{SizeBytes: 4 * 8 * 64, Ways: 8, LineBytes: 64}},   // degenerate group
 	{8, cachesim.Config{SizeBytes: 2 * 8 * 64, Ways: 8, LineBytes: 64}},   // fused-width boundary
-	{5, cachesim.Config{SizeBytes: 2 * 16 * 64, Ways: 16, LineBytes: 64}}, // 80 > 64: fallback path
+	{5, cachesim.Config{SizeBytes: 2 * 16 * 64, Ways: 16, LineBytes: 64}}, // 80 > 64: directory at construction
 	{3, cachesim.Config{SizeBytes: 4 * 8 * 64, Ways: 8, LineBytes: 64, EnabledWays: 5}},
 	{16, cachesim.Config{SizeBytes: 2 * 8 * 64, Ways: 8, LineBytes: 64}}, // many-core: >64 row ways
 }
@@ -123,9 +123,11 @@ func (p *groupPair) soloHolderMask(block uint64) uint64 {
 
 // runGroupDiff decodes data as an op program over a ganged geometry and
 // drives the group and the independent caches, failing on any divergence.
-// With directory set, the group answers coherence queries from the
-// set-sharded directory, so the same oracle checks pin directory maintenance
-// (holder-bit adds/removes across insert, eviction, invalidation chains).
+// With directory set, the group is forced onto the set-sharded directory
+// even at fused widths; without it the group keeps the mode NewGroup chose
+// from its geometry. Either way the same oracle checks pin directory
+// maintenance (holder-bit adds/removes across insert, eviction, invalidation
+// chains) wherever the directory runs.
 func runGroupDiff(t *testing.T, n int, cfg cachesim.Config, directory bool, data []byte) {
 	p := newGroupPair(t, n, cfg, directory)
 	ops := &opStream{data: data}
@@ -250,8 +252,9 @@ func FuzzGroupEquivalence(f *testing.F) {
 		if len(data) > 4096 {
 			data = data[:4096]
 		}
-		// The high bit of the selector byte flips the group into directory
-		// mode; both modes must match the per-cache oracle exactly.
+		// The high bit of the selector byte forces the group into directory
+		// mode; both modes must match the per-cache oracle exactly. Groups
+		// wider than the fused row run the directory either way.
 		gc := groupConfigs[int(data[0]&0x7f)%len(groupConfigs)]
 		runGroupDiff(t, gc.n, gc.cfg, data[0]&0x80 != 0, data[1:])
 	})
@@ -259,7 +262,9 @@ func FuzzGroupEquivalence(f *testing.F) {
 
 // TestGroupEquivalence replays long pseudo-random programs over every ganged
 // geometry on plain `go test` runs, so the group's differential check does
-// not depend on anyone running the fuzzer.
+// not depend on anyone running the fuzzer. The "broadcast" arm is the group
+// as NewGroup builds it (the directory past the fused row width), the
+// "directory" arm forces the directory.
 func TestGroupEquivalence(t *testing.T) {
 	for gi, gc := range groupConfigs {
 		for _, directory := range []bool{false, true} {

@@ -45,14 +45,6 @@ type Params struct {
 	PrefetchEntries int
 	PrefetchDegree  int
 
-	// NoDirectory disables the set-sharded coherence directory (DESIGN.md
-	// §13) and answers holder-mask queries with the broadcast row scan. The
-	// zero value — directory on — is the default everywhere; results are
-	// bit-identical either way (FuzzDirectoryEquivalence holds the modes
-	// together), so the flag exists for the honest A/B and as an escape
-	// hatch.
-	NoDirectory bool
-
 	// SampleDen, when > 1, runs the set-sampled fast path (DESIGN.md §16):
 	// the machine is built at 1/SampleDen of the L2 sets (the deterministic,
 	// leader-including residue sample of trace.SampleSpec) and the caller
@@ -354,9 +346,6 @@ func New(p Params, gens []trace.Generator, timing []CoreTiming, policy coop.Poli
 			break
 		}
 	}
-	if !p.NoDirectory {
-		s.group.EnableDirectory()
-	}
 	return s, nil
 }
 
@@ -367,9 +356,10 @@ func (s *System) L2(i int) *cachesim.Cache { return s.l2s[i] }
 func (s *System) Policy() coop.Policy { return s.policy }
 
 // CoherenceProbes returns the number of holder-mask queries the coherence
-// fabric has answered — row scans in broadcast mode, directory lookups with
-// the directory on. Counted at identical call sites in both modes
-// (TestProbeCountParity), so the figures are comparable across an A/B.
+// fabric has answered — fused row scans up to 8 cores x 8 L2 ways, directory
+// lookups past that (cachesim.NewGroup picks the mode from the geometry).
+// Counted at identical call sites in both modes (TestProbeCountParity), so
+// the figures are comparable across core counts.
 func (s *System) CoherenceProbes() uint64 { return s.group.Probes() }
 
 // Run simulates until every core has committed instrPerCore instructions.
@@ -619,7 +609,8 @@ func (s *System) l2Demand(c int, block uint64, write bool) float64 {
 
 	default:
 		// Local miss: broadcast snoop on the bus. The ganged tag slab
-		// answers "who holds this block" in one fused row scan.
+		// answers "who holds this block" in one fused row scan (one
+		// directory lookup past 8 cores x 8 ways).
 		qd := s.bus.Request(s.clock[c])
 		st.BusTransfers++
 		st.QueueDelay += qd

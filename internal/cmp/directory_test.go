@@ -1,7 +1,9 @@
 // The set-sharded directory at the full-system level: a differential fuzzer
-// of directory vs broadcast coherence vs the frozen per-reference oracle. The
-// group-level differential wall is cachesim's group_diff_test.go; the shard
-// mechanics are cachesim's directory_test.go.
+// of the geometry-selected coherence mode vs the forced directory vs the
+// frozen per-reference oracle, and a scripted machine wide enough that
+// NewGroup picks the directory itself. The group-level differential wall is
+// cachesim's group_diff_test.go; the shard mechanics are cachesim's
+// directory_test.go.
 package cmp
 
 import (
@@ -11,6 +13,7 @@ import (
 	"ascc/internal/cachesim"
 	"ascc/internal/coop"
 	"ascc/internal/policies"
+	"ascc/internal/rng"
 	"ascc/internal/trace"
 )
 
@@ -50,15 +53,17 @@ func fuzzSystem(t *testing.T, p Params, body []byte, cores int, useASCC bool, ti
 }
 
 // FuzzDirectoryEquivalence is the differential wall for the coherence
-// directory: the engine with the directory (the default) and in broadcast
-// mode (NoDirectory) run the same machine and reference streams, and both
-// must be bit-identical — frozen CoreStats, final clocks, batch cursors,
-// complete L1/L2 state — to the frozen per-reference broadcast oracle
-// (refRun). The two modes must also answer the same number of coherence
-// probes (the property that makes the scaling table's probe column an
-// apples-to-apples A/B). Core counts reach 8 so holder masks cover more
-// than 4 peers; ASCC variants exercise last-copy swaps and spills through
-// the directory's remove/add paths.
+// directory: the system as built (the coherence mode cachesim.NewGroup picks
+// from the geometry — the fused broadcast scan at these widths) and the same
+// build with the directory forced on right after New run the same machine
+// and reference streams, and both must be bit-identical — frozen CoreStats,
+// final clocks, batch cursors, complete L1/L2 state — to the frozen
+// per-reference oracle (refRun) on the geometry's own mode. The two modes
+// must also answer the same number of coherence probes (the property that
+// makes the scaling table's probe column comparable across core counts).
+// Core counts reach 8 so holder masks cover more than 4 peers; ASCC variants
+// exercise last-copy swaps and spills through the directory's remove/add
+// paths.
 func FuzzDirectoryEquivalence(f *testing.F) {
 	f.Add([]byte("directory-differential-seed"))
 	// 8 cores, ASCC, every core hammering blocks 0/1 —
@@ -98,24 +103,26 @@ func FuzzDirectoryEquivalence(f *testing.F) {
 		for i := range timing {
 			timing[i] = CoreTiming{BaseCPI: 1 + float64((int(data[0])+i)%3)/2, Overlap: 0.5}
 		}
-		build := func(noDir bool) *System {
-			pv := p
-			pv.NoDirectory = noDir
-			return fuzzSystem(t, pv, body, cores, useASCC, timing)
+		build := func(forceDirectory bool) *System {
+			sys := fuzzSystem(t, p, body, cores, useASCC, timing)
+			if forceDirectory {
+				sys.group.EnableDirectory()
+			}
+			return sys
 		}
 
-		dir := build(false)
-		bcast := build(true)
-		oracle := build(true)
+		geom := build(false)
+		dir := build(true)
+		oracle := build(false)
+		geomRes := geom.Run(warmup, quota)
 		dirRes := dir.Run(warmup, quota)
-		bcastRes := bcast.Run(warmup, quota)
 		wantRes := oracle.refRun(warmup, quota)
 
 		for _, eng := range []struct {
 			name string
 			sys  *System
 			res  Results
-		}{{"directory", dir, dirRes}, {"broadcast", bcast, bcastRes}} {
+		}{{"geometry", geom, geomRes}, {"directory", dir, dirRes}} {
 			if !reflect.DeepEqual(eng.res, wantRes) {
 				t.Errorf("%s results diverge:\ngot:  %+v\nwant: %+v", eng.name, eng.res, wantRes)
 			}
@@ -131,10 +138,53 @@ func FuzzDirectoryEquivalence(f *testing.F) {
 				compareCaches(t, "L2/"+eng.name, i, eng.sys.L2(i), oracle.L2(i))
 			}
 		}
-		if dp, bp := dir.CoherenceProbes(), bcast.CoherenceProbes(); dp != bp {
-			t.Errorf("probe counts diverge: directory %d, broadcast %d", dp, bp)
+		if gp, dp := geom.CoherenceProbes(), dir.CoherenceProbes(); gp != dp {
+			t.Errorf("probe counts diverge: geometry-selected %d, directory %d", gp, dp)
 		}
 	})
+}
+
+// TestDirectoryPastFusedRow runs a machine whose ganged L2 row is too wide
+// for the fused scan (12 cores x 8 ways = 96 > 64), so cachesim.NewGroup
+// builds the directory itself: the engine must match the frozen oracle bit
+// for bit, and at the end the directory's holder mask for every block of the
+// 64-block space must equal the one recomputed from the caches' contents.
+func TestDirectoryPastFusedRow(t *testing.T) {
+	const cores, quota = 12, 20_000
+	p := tinyParams(cores)
+	p.L2 = cachesim.Config{SizeBytes: 1024, Ways: 8, LineBytes: 32}
+	build := func() *System {
+		r := rng.New(0xd12)
+		body := make([]byte, 3*cores*40)
+		for i := range body {
+			body[i] = byte(r.Uint64())
+		}
+		sys := fuzzSystem(t, p, body, cores, true, evenTiming(cores))
+		if !sys.group.DirectoryEnabled() {
+			t.Fatalf("%d cores x %d L2 ways: NewGroup kept the broadcast scan", cores, p.L2.Ways)
+		}
+		return sys
+	}
+	live, oracle := build(), build()
+	got := live.Run(quota/10, quota)
+	want := oracle.refRun(quota/10, quota)
+	requireOracle(t, live, oracle, got, want)
+	if live.CoherenceProbes() != oracle.CoherenceProbes() || live.CoherenceProbes() == 0 {
+		t.Errorf("probe counts: live %d, oracle %d", live.CoherenceProbes(), oracle.CoherenceProbes())
+	}
+
+	recomputed := map[uint64]uint64{}
+	for c := 0; c < cores; c++ {
+		live.L2(c).ForEachLine(func(_, _ int, l *cachesim.Line) { recomputed[l.Tag] |= 1 << uint(c) })
+	}
+	if len(recomputed) == 0 {
+		t.Fatal("no resident L2 lines at the end of the run")
+	}
+	for block := uint64(0); block < 64; block++ {
+		if got, want := live.group.HolderMask(block), recomputed[block]; got != want {
+			t.Fatalf("directory holders of block %d = %b, caches hold it in %b", block, got, want)
+		}
+	}
 }
 
 // TestValidateParallelParams pins the many-core machine-description limits:

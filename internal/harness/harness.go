@@ -73,11 +73,6 @@ type Config struct {
 	// natural width. Single-application calibration runs (AloneCPI) are
 	// never widened. At most 64 (the holder-mask word).
 	Cores int
-	// NoDirectory disables the set-sharded coherence directory
-	// (cmp.Params.NoDirectory, DESIGN.md §13) and answers holder-mask
-	// queries with broadcast row scans. Results are bit-identical either
-	// way; the toggle exists for the honest A/B and as an escape hatch.
-	NoDirectory bool
 	// SampleDen, when > 1, runs every simulation on the set-sampled fast
 	// path (cmp.Params.SampleDen, DESIGN.md §16): the machine models
 	// 1/SampleDen of the L2 sets (a deterministic residue sample that
@@ -155,7 +150,6 @@ func (c Config) params(cores int) cmp.Params {
 		p.L2.SizeBytes = c.L2SizeBytes / c.Scale
 	}
 	p.Prefetch = c.Prefetch
-	p.NoDirectory = c.NoDirectory
 	if c.SampleDen > 1 && !c.Prefetch {
 		p.SampleDen = c.SampleDen
 		// Sync cores at sampled granularity: a kept reference stands for
