@@ -1,7 +1,8 @@
 # Repeatable verification gate for the ascc reproduction.
 #
 #   make check          - everything CI should run (build, vet, fmt, tests,
-#                         race, bounded differential fuzz)
+#                         race, bounded differential fuzz, and vet + tests
+#                         of the perfbench module)
 #   make test           - the tier-1 suite only
 #   make race           - race-detector pass over the concurrent packages
 #   make fuzz           - bounded run of the differential fuzzers (packed
@@ -9,23 +10,23 @@
 #                         independent caches, trace arena codec round-trip,
 #                         persistent arena-store file round-trip, engine vs
 #                         the frozen per-reference oracle, directory vs
-#                         broadcast vs that oracle, sampled vs full geometry)
+#                         broadcast vs that oracle, sampled vs full geometry,
+#                         trace-file readers on arbitrary bytes)
 #   make cover          - aggregate internal/... statement coverage with a
 #                         hard floor (scripts/cover.sh)
 #   make bench          - microbenchmarks for the hot simulator paths
 #   make profile        - CPU + heap profile of a representative run
-#   make bench-baseline - kernel + end-to-end throughput, recorded in
-#                         BENCH_kernel.json (packed kernel vs the frozen
-#                         reference kernel)
+#   make bench-baseline - the per-layer ledger: perfbench --trace 1 on every
+#                         BENCHMARK.json workload (perfbench/README.md)
 #   make prewarm        - synthesise every experiment-suite stream into the
 #                         persistent arena store (~/.cache/ascc/arenas) so
 #                         later runs, sweeps and CI jobs replay from mmap
 
 GO ?= go
 
-.PHONY: check build vet fmt test race fuzz cover bench bench-baseline profile prewarm clean
+.PHONY: check build vet fmt test race fuzz perfbench-test cover bench bench-baseline profile prewarm clean
 
-check: build vet fmt test race fuzz
+check: build vet fmt test race fuzz perfbench-test
 
 build:
 	$(GO) build ./...
@@ -58,10 +59,17 @@ fuzz:
 	$(GO) test ./internal/cachesim -run '^$$' -fuzz FuzzKernelEquivalence -fuzztime 10s
 	$(GO) test ./internal/cachesim -run '^$$' -fuzz FuzzGroupEquivalence -fuzztime 10s
 	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzRefCodec -fuzztime 10s
+	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzTraceReaders -fuzztime 10s
 	$(GO) test ./internal/trace/store -run '^$$' -fuzz FuzzStoreRoundTrip -fuzztime 10s
 	$(GO) test ./internal/cmp -run '^$$' -fuzz FuzzBurstEquivalence -fuzztime 10s
 	$(GO) test ./internal/cmp -run '^$$' -fuzz FuzzDirectoryEquivalence -fuzztime 10s
 	$(GO) test ./internal/cmp -run '^$$' -fuzz FuzzSampleEquivalence -fuzztime 10s
+
+# perfbench is a module of its own (replace ascc => ../), so the root
+# build, vet and test never compile it; an internal/ API change that breaks
+# the benchmark fails here instead.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Aggregate statement coverage over internal/... with a floor that pins the
 # baseline; a PR landing untested simulator code fails here.
@@ -69,7 +77,7 @@ cover:
 	GO="$(GO)" sh scripts/cover.sh
 
 bench:
-	$(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/cachesim ./internal/cmp ./internal/trace
+	$(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/cachesim ./internal/cmp ./internal/trace/...
 
 # CPU + heap profile of the heaviest configuration (the 4-core AVGCC mix the
 # end-to-end benchmark measures) through the CLI's -cpuprofile/-memprofile
@@ -80,8 +88,13 @@ profile:
 		-cpuprofile asccbench-cpu.prof -memprofile asccbench-mem.prof >/dev/null
 	$(GO) tool pprof -top -nodecount 15 asccbench-cpu.prof
 
+# One traced perfbench run per BENCHMARK.json workload: per-layer unit costs
+# and self times, with the run manifest (commit, nproc, Go version), in
+# .bench_build/perfbench/<workload>-seed1-trace1.json.
 bench-baseline:
-	GO="$(GO)" sh scripts/bench_kernel.sh BENCH_kernel.json
+	for w in mix4-full suite-sampled wide-shared; do \
+		bash perfbench/run.sh --workload $$w --seed 1 --trace 1 || exit 1; \
+	done
 
 # Fill the persistent arena store at the default configuration: every later
 # asccbench/test/CI run with -arena-store replays packed streams from mmap'd

@@ -1,9 +1,9 @@
 // White-box tests for the set-sharded coherence directory: shard hash-table
 // mechanics (collision chains, backward-shift deletion), maintenance against
 // a map oracle under random group traffic, the geometry rule that picks the
-// coherence mode, and the probe-cost benchmarks the scaleout block of
-// scripts/bench_kernel.sh records (broadcast row scan at 4/8 cores,
-// directory lookup at 4/8/16/64). The black-box differential wall lives
+// coherence mode, and the probe-cost benchmarks behind DESIGN.md §13's
+// recorded numbers (broadcast row scan at 4/8 cores, directory lookup at
+// 4/8/16/64). The black-box differential wall lives
 // in group_diff_test.go; FuzzDirectoryEquivalence in internal/cmp pins the
 // full engine.
 package cachesim

@@ -6,8 +6,9 @@
 //
 //	go test ./internal/cachesim -run '^$' -bench . -benchmem
 //
-// `make bench-baseline` runs these plus the end-to-end simulator benchmark
-// and records the results in BENCH_kernel.json.
+// DESIGN.md §2 records the measured speedup; perfbench's
+// cachesim.burst_ns_per_ref and cachesim.l2_access_ns track the same
+// kernel paths from outside.
 package cachesim_test
 
 import (

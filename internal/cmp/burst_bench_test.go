@@ -63,8 +63,8 @@ const benchInstr = 1_000_000
 // BenchmarkPhaseBurst drives the engine — the per-reference descent under
 // the run-to-event burst kernel — for 1M instructions per core on the
 // 4-core AVGCC mix. Its per-op time against BenchmarkPhaseRefStep is the
-// in-binary A/B for the whole run-to-event rewrite ("burst" block in
-// BENCH_kernel.json): both sides run the identical machine, workload and
+// in-binary A/B for the whole run-to-event rewrite (recorded in DESIGN.md
+// §11): both sides run the identical machine, workload and
 // accounting, differing only in the stepping.
 func BenchmarkPhaseBurst(b *testing.B) {
 	total := uint64(0)

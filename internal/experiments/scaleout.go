@@ -18,7 +18,7 @@ var scaleoutCores = []int{4, 16, 32, 64}
 // and run under AVGCC, reporting per-width aggregate CPI and the coherence
 // fabric's probe count (fused broadcast row scans at 4 cores, set-sharded
 // directory lookups at 16-64, counted at the same call sites; the per-probe
-// cost of each is scripts/bench_kernel.sh's scaleout block). The
+// cost of each is perfbench's cachesim.probe_ns on wide-shared). The
 // table's columns are all deterministic in (config, seed); wall-clock per
 // width — the one number that is not — goes into Values ("wall_ms/16") so
 // EXPERIMENTS.md can quote it without perturbing golden CSVs.

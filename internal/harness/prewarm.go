@@ -6,6 +6,7 @@ import (
 
 	"ascc/internal/rng"
 	"ascc/internal/trace"
+	"ascc/internal/trace/store"
 	"ascc/internal/workload"
 )
 
@@ -87,15 +88,21 @@ func (r *Runner) prewarmStreams() ([]prewarmStream, error) {
 // suite draws on under this configuration — in parallel, bounded by the
 // worker pool — and persists them to the configured arena store, so
 // subsequent processes (runs, sweeps, CI jobs) replay from mmap'd files
-// instead of regenerating. It returns how many distinct streams were
-// warmed. Requires the trace cache and a store (Config.ArenaStoreDir);
-// asccbench -prewarm is the CLI entry.
+// instead of regenerating. It first removes the temp files killed writers
+// left in the store root (Store.RemoveStaleTemps). It returns how many
+// distinct streams were warmed. Requires the trace cache and a store
+// (Config.ArenaStoreDir); asccbench -prewarm is the CLI entry.
 func (r *Runner) PrewarmArenas() (int, error) {
 	if r.arenas == nil {
 		return 0, fmt.Errorf("harness: prewarm requires the trace cache (Config.TraceCache)")
 	}
 	if r.arenas.Store() == nil {
 		return 0, fmt.Errorf("harness: prewarm requires a persistent arena store (Config.ArenaStoreDir)")
+	}
+	if st, ok := r.arenas.Store().(*store.Store); ok {
+		if err := st.RemoveStaleTemps(); err != nil {
+			return 0, err
+		}
 	}
 	streams, err := r.prewarmStreams()
 	if err != nil {

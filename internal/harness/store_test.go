@@ -1,9 +1,13 @@
 package harness
 
 import (
+	"errors"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"ascc/internal/trace/store"
 )
@@ -125,6 +129,33 @@ func TestPrewarmPreconditions(t *testing.T) {
 	noStore := arenaConfig()
 	if _, err := NewRunner(noStore).PrewarmArenas(); err == nil {
 		t.Fatal("prewarm without a store did not fail")
+	}
+}
+
+// TestPrewarmSweepsStaleTemps: prewarming removes the temp file a killed
+// writer left in the store root long ago, and keeps one a live writer in
+// another process may still be writing.
+func TestPrewarmSweepsStaleTemps(t *testing.T) {
+	cfg := storeConfig(t)
+	stale := filepath.Join(cfg.ArenaStoreDir, ".arena-killed.tmp")
+	fresh := filepath.Join(cfg.ArenaStoreDir, ".arena-writing.tmp")
+	for _, p := range []string{stale, fresh} {
+		if err := os.WriteFile(p, []byte("partial"), 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := time.Now().Add(-24 * time.Hour)
+	if err := os.Chtimes(stale, old, old); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewRunner(cfg).PrewarmArenas(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(stale); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("stale temp file survived prewarm (stat err %v)", err)
+	}
+	if _, err := os.Stat(fresh); err != nil {
+		t.Fatalf("prewarm removed a fresh temp file: %v", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -189,5 +190,51 @@ func TestRecord(t *testing.T) {
 	}
 	if rp.Next() != refs[0] {
 		t.Fatal("replay differs from recording")
+	}
+}
+
+// FuzzTraceReaders feeds arbitrary bytes to both trace-file readers. Trace
+// files are untrusted user input, so neither reader may panic, and any
+// references either accepts must survive a round trip through both
+// writers unchanged.
+func FuzzTraceReaders(f *testing.F) {
+	f.Add([]byte(binaryMagic + "\x80\x20\x06\x00\x01"))
+	f.Add([]byte("addr,write,gap\n0x1000,0,3\n# comment\n64,1,0\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if refs, err := ReadBinary(bytes.NewReader(data)); err == nil {
+			checkTraceRoundTrip(t, refs)
+		}
+		if refs, err := ReadCSV(bytes.NewReader(data)); err == nil {
+			checkTraceRoundTrip(t, refs)
+		}
+	})
+}
+
+// checkTraceRoundTrip re-encodes refs through Writer and WriteCSV and
+// requires each reader to return them unchanged.
+func checkTraceRoundTrip(t *testing.T, refs []Ref) {
+	t.Helper()
+	var bin bytes.Buffer
+	w := NewWriter(&bin)
+	for _, r := range refs {
+		if err := w.Write(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ReadBinary(&bin); err != nil || !slices.Equal(got, refs) {
+		t.Fatalf("binary round trip: err %v, got %v, want %v", err, got, refs)
+	}
+	if len(refs) == 0 {
+		return // a CSV trace must hold at least one reference
+	}
+	var csv bytes.Buffer
+	if err := WriteCSV(&csv, refs); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ReadCSV(&csv); err != nil || !slices.Equal(got, refs) {
+		t.Fatalf("CSV round trip: err %v, got %v, want %v", err, got, refs)
 	}
 }

@@ -11,8 +11,8 @@ import (
 // pays), replay from a store-loaded mmap'd arena (what the persistent
 // tier makes possible), and the load itself (open + map + validate,
 // amortised over the refs it unlocks). store-replay vs live is the
-// headline ratio of BENCH_kernel.json's "store" block: the synthesis
-// work a warm store deletes from every subsequent run, sweep and CI job.
+// headline ratio DESIGN.md §14 records: the synthesis work a warm store
+// deletes from every subsequent run, sweep and CI job.
 func BenchmarkStoreThroughput(b *testing.B) {
 	const (
 		batch   = 256

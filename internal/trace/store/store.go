@@ -17,7 +17,8 @@
 // reader in another process sees either the old complete file or the new
 // complete file, never a partial one. Mappings taken before a rename keep
 // referencing the old inode, which is immutable from then on — files are
-// never modified in place.
+// never modified in place. A writer killed before its rename leaves the
+// temp file behind; RemoveStaleTemps sweeps those once they are old.
 //
 // Every failure on the read side — absent file, short file, bad magic,
 // codec-version mismatch, key mismatch, checksum mismatch, or a payload
@@ -30,11 +31,14 @@ package store
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+	"time"
 	"unsafe"
 
 	"ascc/internal/trace"
@@ -66,6 +70,14 @@ const (
 	offHeaderSum   = 48
 	maxKeyLen      = 1 << 12
 	fileNameMaxKey = 48 // readable key prefix kept in the file name
+
+	// tempPattern names Save's unpublished temp files (os.CreateTemp).
+	tempPattern = ".arena-*.tmp"
+	// staleTempAge is how long a temp file may go unmodified before
+	// RemoveStaleTemps takes it for a killed writer's leftover. A live
+	// Save writes its file in one pass of seconds, so an hour leaves
+	// concurrent writers in other processes a wide margin.
+	staleTempAge = time.Hour
 )
 
 // payloadOff returns the byte offset of the first packed word for a key of
@@ -286,7 +298,7 @@ func (s *Store) Save(key string, a *trace.Arena) error {
 	if err := os.MkdirAll(s.dir, 0o755); err != nil {
 		return fmt.Errorf("store: creating root: %w", err)
 	}
-	f, err := os.CreateTemp(s.dir, ".arena-*.tmp")
+	f, err := os.CreateTemp(s.dir, tempPattern)
 	if err != nil {
 		return fmt.Errorf("store: creating temp file: %w", err)
 	}
@@ -354,6 +366,34 @@ func (s *Store) Save(key string, a *trace.Arena) error {
 		return fmt.Errorf("store: publishing: %w", err)
 	}
 	s.saves.Add(1)
+	return nil
+}
+
+// RemoveStaleTemps deletes the temp files of writers that were killed
+// between Save's create and rename — Save removes its temp file only on
+// its own error paths, so nothing else ever would. Only files unmodified
+// for staleTempAge go: a temp file a live writer is still writing
+// survives. A missing root is not an error.
+func (s *Store) RemoveStaleTemps() error {
+	ents, err := os.ReadDir(s.dir)
+	if err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil
+		}
+		return fmt.Errorf("store: listing root: %w", err)
+	}
+	for _, e := range ents {
+		if ok, _ := filepath.Match(tempPattern, e.Name()); !ok {
+			continue
+		}
+		info, err := e.Info()
+		if err != nil || time.Since(info.ModTime()) < staleTempAge {
+			continue // published or removed meanwhile, or still fresh
+		}
+		if err := os.Remove(filepath.Join(s.dir, e.Name())); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return fmt.Errorf("store: removing stale temp file: %w", err)
+		}
+	}
 	return nil
 }
 

@@ -2,10 +2,13 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"ascc/internal/trace"
 )
@@ -432,5 +435,36 @@ func TestStorePathStability(t *testing.T) {
 			t.Fatalf("keys %q and %q collide on %s", prev, k, p)
 		}
 		seen[p] = k
+	}
+}
+
+// TestRemoveStaleTemps: the sweep deletes only old temp files — never a
+// published arena file, however old — and treats a missing root as empty.
+func TestRemoveStaleTemps(t *testing.T) {
+	dir := t.TempDir()
+	s := New(dir)
+	mustSave(t, s, "mix/0/store-test/1/8", 1, 1_000)
+	stale := filepath.Join(dir, ".arena-killed.tmp")
+	if err := os.WriteFile(stale, []byte("partial"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	old := time.Now().Add(-2 * staleTempAge)
+	for _, p := range []string{stale, s.path("mix/0/store-test/1/8")} {
+		if err := os.Chtimes(p, old, old); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.RemoveStaleTemps(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(stale); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("stale temp file survived the sweep (stat err %v)", err)
+	}
+	if a := s.Load("mix/0/store-test/1/8", testGen(1)); a == nil {
+		t.Fatal("sweep removed a published arena file")
+	}
+	s.Close()
+	if err := New(filepath.Join(dir, "absent")).RemoveStaleTemps(); err != nil {
+		t.Fatalf("missing root: %v", err)
 	}
 }
