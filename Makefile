@@ -11,7 +11,8 @@
 #                         persistent arena-store file round-trip, engine vs
 #                         the frozen per-reference oracle, directory vs
 #                         broadcast vs that oracle, sampled vs full geometry,
-#                         trace-file readers on arbitrary bytes)
+#                         trace-file readers on arbitrary bytes, the -sample
+#                         and -mix grammars)
 #   make cover          - aggregate internal/... statement coverage with a
 #                         hard floor (scripts/cover.sh)
 #   make bench          - microbenchmarks for the hot simulator paths
@@ -45,9 +46,10 @@ test:
 
 # The harness worker pool, the experiment fan-outs and the shared trace
 # arenas are the concurrent code, and the pool runs many cmp Systems side by
-# side; -race over just those keeps the gate fast. The experiments
-# differentials (arena on/off plus store off/cold/warm, every id) outgrew go
-# test's default 10-minute ceiling under the race detector's slowdown.
+# side; -race over just those keeps the gate fast. The experiments package
+# (all 21 golden tables, the trace-cache budget differential and the store
+# off/cold/warm differential, every id) takes ~10 minutes under the race
+# detector on a 2-CPU host, at go test's default 10-minute ceiling.
 race:
 	$(GO) test -race -timeout 30m ./internal/trace/... ./internal/harness/... ./internal/experiments/... ./internal/cmp/...
 
@@ -64,6 +66,8 @@ fuzz:
 	$(GO) test ./internal/cmp -run '^$$' -fuzz FuzzBurstEquivalence -fuzztime 10s
 	$(GO) test ./internal/cmp -run '^$$' -fuzz FuzzDirectoryEquivalence -fuzztime 10s
 	$(GO) test ./internal/cmp -run '^$$' -fuzz FuzzSampleEquivalence -fuzztime 10s
+	$(GO) test ./internal/trace -run '^$$' -fuzz FuzzParseSampleRatio -fuzztime 10s
+	$(GO) test ./cmd/asccbench -run '^$$' -fuzz FuzzParseMix -fuzztime 10s
 
 # perfbench is a module of its own (replace ascc => ../), so the root
 # build, vet and test never compile it; an internal/ API change that breaks

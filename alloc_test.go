@@ -45,11 +45,7 @@ func TestSteadyStateRunAllocations(t *testing.T) {
 // prefix, so its Run must be a pure decode loop — no chunk growth, no
 // per-batch or per-reference allocation.
 func TestReplaySteadyStateAllocations(t *testing.T) {
-	cfg := ascc.DefaultConfig()
-	if !cfg.TraceCache {
-		t.Fatal("trace cache is off by default; replay path untested")
-	}
-	runner := ascc.NewRunner(cfg)
+	runner := ascc.NewRunner(ascc.DefaultConfig())
 	warm, err := runner.NewMixSystem([]int{445, 444, 456, 471}, ascc.AVGCC)
 	if err != nil {
 		t.Fatal(err)

@@ -45,7 +45,6 @@ type options struct {
 	policySet  bool // -policy given explicitly (flag.Visit), not defaulted
 	format     string
 	traces     string
-	traceCache bool
 	traceMB    int
 	storeDir   string // resolved -arena-store root; "" = store off
 	prewarm    bool
@@ -123,9 +122,6 @@ func (o options) validate() error {
 	if o.traceMB < 0 {
 		return fmt.Errorf("-trace-cache-mb must be >= 0 (got %d; 0 means the default budget)", o.traceMB)
 	}
-	if o.traceMB > 0 && !o.traceCache {
-		return fmt.Errorf("-trace-cache-mb %d conflicts with -trace-cache=false", o.traceMB)
-	}
 	if o.policySet && o.mix == "" && o.traces == "" {
 		return fmt.Errorf("-policy only applies to -mix and -trace runs (experiments compare the registry policies themselves)")
 	}
@@ -137,9 +133,6 @@ func (o options) validate() error {
 	}
 	if o.cores > 0 && o.traces != "" {
 		return fmt.Errorf("-cores does not apply to -trace replays (supply one trace file per core instead)")
-	}
-	if o.storeDir != "" && !o.traceCache {
-		return fmt.Errorf("-arena-store persists the trace cache's arenas (conflicts with -trace-cache=false)")
 	}
 	den, err := ascc.ParseSampleRatio(o.sample)
 	if err != nil {
@@ -160,9 +153,6 @@ func (o options) validate() error {
 		}
 	}
 	if o.prewarm {
-		if !o.traceCache {
-			return fmt.Errorf("-prewarm fills the trace cache (conflicts with -trace-cache=false)")
-		}
 		if o.storeDir == "" {
 			return fmt.Errorf("-prewarm persists stream arenas, so it requires -arena-store (and conflicts with -arena-store=off)")
 		}
@@ -179,7 +169,6 @@ func (o options) config() ascc.Config {
 	cfg.Scale = o.scale
 	cfg.Seed = o.seed
 	cfg.Parallel = o.parallel
-	cfg.TraceCache = o.traceCache
 	cfg.TraceCacheMB = o.traceMB
 	cfg.ArenaStoreDir = o.storeDir
 	cfg.Cores = o.cores
@@ -203,6 +192,7 @@ var retiredFlags = map[string]string{
 	"engine":       "the per-reference descent is the only engine (DESIGN.md §12)",
 	"sim-parallel": "the per-reference descent is the only engine (DESIGN.md §12)",
 	"directory":    "the coherence mode follows the core count and L2 ways (DESIGN.md §13)",
+	"trace-cache":  "every run replays its streams from the packed arena cache, bounded by -trace-cache-mb (DESIGN.md §10)",
 }
 
 // retiredFlag rejects the removed flags with a pointer to why they went,
@@ -220,33 +210,37 @@ func retiredFlag(args []string) error {
 	return nil
 }
 
+// register defines the command-line flags on fs, bound to o.
+func (o *options) register(fs *flag.FlagSet) {
+	fs.StringVar(&o.exp, "exp", "", "experiment id ("+strings.Join(ascc.ExperimentIDs(), ", ")+") or 'all'")
+	fs.BoolVar(&o.list, "list", false, "list experiment ids and exit")
+	fs.IntVar(&o.scale, "scale", 8, "geometry scale divisor (1 = the paper's absolute sizes; slow)")
+	fs.Uint64Var(&o.warmup, "warmup", 0, "warmup instructions per core (0 = default for the scale)")
+	fs.Uint64Var(&o.measure, "measure", 0, "measured instructions per core (0 = default for the scale)")
+	fs.Uint64Var(&o.seed, "seed", 1, "random seed")
+	fs.IntVar(&o.seeds, "seeds", 1, "with -mix: repeat over N seeds and report mean ± 95% CI")
+	fs.IntVar(&o.parallel, "parallel", 0, "max simulations in flight (0 = all CPUs, 1 = sequential; results are identical at every setting)")
+	fs.StringVar(&o.mix, "mix", "", "ad-hoc mix to run, e.g. 445+456 or 445+401+444+456")
+	fs.StringVar(&o.policy, "policy", "AVGCC", "policy for -mix/-trace (baseline, CC, DSR, DSR+DIP, DSR-3S, ECC, LRS, LMS, GMS, LMS+BIP, GMS+SABIP, ASCC, ASCC-2S, AVGCC, QoS-AVGCC)")
+	fs.StringVar(&o.format, "format", "text", "experiment output format: text, csv or json")
+	fs.StringVar(&o.traces, "trace", "", "comma-separated trace files (.trc binary or .csv), one per core, replayed under -policy")
+	fs.IntVar(&o.traceMB, "trace-cache-mb", 0, "memory budget in MiB of the packed stream arenas every run replays, before LRU eviction (0 = default budget)")
+	fs.Var(storeFlag{&o.storeDir}, "arena-store", "persist packed stream arenas across processes: bare flag uses ~/.cache/ascc/arenas, =DIR overrides the root, =off disables (the default; results are identical cold or warm)")
+	fs.BoolVar(&o.prewarm, "prewarm", false, "synthesise and persist every stream arena the experiment suite uses, then exit (requires -arena-store; later runs replay instead of regenerating)")
+	fs.IntVar(&o.cores, "cores", 0, "widen every mix to this many cores by cyclic replication, max 64 (0 = each mix's natural width; single-app calibrations stay one-core)")
+	fs.StringVar(&o.sample, "sample", "off", "set-sampled fast-path ratio: 1/N simulates a deterministic 1/N subset of the LLC sets (always including the policies' leader sets) on pre-filtered streams, off (the default) runs full fidelity; single-core per-set behaviour is exact, multi-core results are close estimates (DESIGN.md §16)")
+	fs.BoolVar(&o.timing, "timing", false, "print wall-clock after each experiment table or ad-hoc run (to stderr under -format csv/json so the stream stays parseable)")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile of the run to this file (inspect with go tool pprof)")
+	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile taken at exit to this file")
+}
+
 func main() {
 	if err := retiredFlag(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "asccbench:", err)
 		os.Exit(2)
 	}
 	var o options
-	flag.StringVar(&o.exp, "exp", "", "experiment id (fig1..fig11, table1/4/5, shared, mt, prefetch, spills, limited, ablation) or 'all'")
-	flag.BoolVar(&o.list, "list", false, "list experiment ids and exit")
-	flag.IntVar(&o.scale, "scale", 8, "geometry scale divisor (1 = the paper's absolute sizes; slow)")
-	flag.Uint64Var(&o.warmup, "warmup", 0, "warmup instructions per core (0 = default for the scale)")
-	flag.Uint64Var(&o.measure, "measure", 0, "measured instructions per core (0 = default for the scale)")
-	flag.Uint64Var(&o.seed, "seed", 1, "random seed")
-	flag.IntVar(&o.seeds, "seeds", 1, "with -mix: repeat over N seeds and report mean ± 95% CI")
-	flag.IntVar(&o.parallel, "parallel", 0, "max simulations in flight (0 = all CPUs, 1 = sequential; results are identical at every setting)")
-	flag.StringVar(&o.mix, "mix", "", "ad-hoc mix to run, e.g. 445+456 or 445+401+444+456")
-	flag.StringVar(&o.policy, "policy", "AVGCC", "policy for -mix/-trace (baseline, CC, DSR, DSR+DIP, DSR-3S, ECC, LRS, LMS, GMS, LMS+BIP, GMS+SABIP, ASCC, ASCC-2S, AVGCC, QoS-AVGCC)")
-	flag.StringVar(&o.format, "format", "text", "experiment output format: text, csv or json")
-	flag.StringVar(&o.traces, "trace", "", "comma-separated trace files (.trc binary or .csv), one per core, replayed under -policy")
-	flag.BoolVar(&o.traceCache, "trace-cache", true, "memoise each workload reference stream in a packed arena and replay it across policies (results are identical either way)")
-	flag.IntVar(&o.traceMB, "trace-cache-mb", 0, "trace cache memory budget in MiB before LRU eviction (0 = default budget; requires -trace-cache)")
-	flag.Var(storeFlag{&o.storeDir}, "arena-store", "persist packed stream arenas across processes: bare flag uses ~/.cache/ascc/arenas, =DIR overrides the root, =off disables (the default; results are identical cold or warm)")
-	flag.BoolVar(&o.prewarm, "prewarm", false, "synthesise and persist every stream arena the experiment suite uses, then exit (requires -arena-store; later runs replay instead of regenerating)")
-	flag.IntVar(&o.cores, "cores", 0, "widen every mix to this many cores by cyclic replication, max 64 (0 = each mix's natural width; single-app calibrations stay one-core)")
-	flag.StringVar(&o.sample, "sample", "off", "set-sampled fast-path ratio: 1/N simulates a deterministic 1/N subset of the LLC sets (always including the policies' leader sets) on pre-filtered streams, off (the default) runs full fidelity; single-core per-set behaviour is exact, multi-core results are close estimates (DESIGN.md §16)")
-	flag.BoolVar(&o.timing, "timing", false, "print wall-clock after each experiment table or ad-hoc run (to stderr under -format csv/json so the stream stays parseable)")
-	flag.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile of the run to this file (inspect with go tool pprof)")
-	flag.StringVar(&o.memprofile, "memprofile", "", "write a heap profile taken at exit to this file")
+	o.register(flag.CommandLine)
 	flag.Parse()
 	// Distinguish "-policy AVGCC" from the default so validate can reject
 	// combinations where the flag would be silently ignored.

@@ -1,14 +1,18 @@
 package main
 
 import (
+	"flag"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
+
+	"ascc"
 )
 
 // base returns the options the flag defaults produce.
 func base() options {
-	return options{scale: 8, seeds: 1, policy: "AVGCC", format: "text", traceCache: true}
+	return options{scale: 8, seeds: 1, policy: "AVGCC", format: "text"}
 }
 
 func TestValidate(t *testing.T) {
@@ -32,9 +36,7 @@ func TestValidate(t *testing.T) {
 		{"exp and trace", func(o *options) { o.exp = "fig8"; o.traces = "a.trc" }, "-exp"},
 		{"parallel ok", func(o *options) { o.exp = "all"; o.parallel = 8 }, ""},
 		{"trace cache budget ok", func(o *options) { o.exp = "all"; o.traceMB = 512 }, ""},
-		{"trace cache off ok", func(o *options) { o.exp = "all"; o.traceCache = false }, ""},
 		{"negative cache budget", func(o *options) { o.traceMB = -1 }, "-trace-cache-mb"},
-		{"budget without cache", func(o *options) { o.traceCache = false; o.traceMB = 64 }, "-trace-cache=false"},
 		{"policy with exp", func(o *options) { o.exp = "fig8"; o.policy = "ASCC"; o.policySet = true }, "-policy"},
 		{"policy with all", func(o *options) { o.exp = "all"; o.policySet = true }, "-policy"},
 		{"policy with mix ok", func(o *options) { o.mix = "445+456"; o.policy = "ASCC"; o.policySet = true }, ""},
@@ -50,10 +52,8 @@ func TestValidate(t *testing.T) {
 		{"cores with trace", func(o *options) { o.traces = "a.trc"; o.cores = 8 }, "-cores"},
 		{"arena store with exp ok", func(o *options) { o.exp = "all"; o.storeDir = "/tmp/arenas" }, ""},
 		{"arena store with mix ok", func(o *options) { o.mix = "445+456"; o.storeDir = "/tmp/arenas" }, ""},
-		{"arena store without cache", func(o *options) { o.exp = "fig8"; o.storeDir = "/tmp/arenas"; o.traceCache = false }, "-trace-cache=false"},
 		{"prewarm ok", func(o *options) { o.prewarm = true; o.storeDir = "/tmp/arenas" }, ""},
 		{"prewarm without store", func(o *options) { o.prewarm = true }, "-arena-store"},
-		{"prewarm without cache", func(o *options) { o.prewarm = true; o.storeDir = "/tmp/arenas"; o.traceCache = false }, "-trace-cache=false"},
 		{"prewarm with exp", func(o *options) { o.prewarm = true; o.storeDir = "/tmp/arenas"; o.exp = "fig8" }, "-prewarm"},
 		{"prewarm with mix", func(o *options) { o.prewarm = true; o.storeDir = "/tmp/arenas"; o.mix = "445+456" }, "-prewarm"},
 		{"prewarm with trace", func(o *options) { o.prewarm = true; o.storeDir = "/tmp/arenas"; o.traces = "a.trc" }, "-prewarm"},
@@ -155,9 +155,10 @@ func TestConfigEngine(t *testing.T) {
 }
 
 // TestRetiredFlags pins the rejection of -sim-parallel, the flag that
-// selected the removed speculative engine, and of -directory, the coherence
-// mode switch the L2 geometry now decides, and that ordinary command lines
-// pass the check.
+// selected the removed speculative engine, of -directory, the coherence
+// mode switch the L2 geometry now decides, and of -trace-cache, the switch
+// back to live stream synthesis, and that ordinary command lines pass the
+// check (-trace-cache-mb, the arena budget, among them).
 func TestRetiredFlags(t *testing.T) {
 	checkRetired(t, "DESIGN.md §12", []retiredCase{
 		{[]string{"-exp", "fig8"}, ""},
@@ -175,6 +176,35 @@ func TestRetiredFlags(t *testing.T) {
 		{[]string{"-mix", "445+456", "directory"}, ""},
 		{[]string{"-exp", "fig8", "--", "-directory"}, ""},
 	})
+	checkRetired(t, "DESIGN.md §10", []retiredCase{
+		{[]string{"-exp", "all", "-trace-cache"}, "-trace-cache was removed"},
+		{[]string{"-exp", "all", "-trace-cache=false"}, "-trace-cache was removed"},
+		{[]string{"--trace-cache", "-mix", "445+456"}, "-trace-cache was removed"},
+		{[]string{"-mix", "445+456", "--trace-cache=false"}, "-trace-cache was removed"},
+		{[]string{"-exp", "all", "-trace-cache-mb", "512"}, ""},
+		{[]string{"-exp", "all", "--trace-cache-mb=512"}, ""},
+		{[]string{"-exp", "fig8", "--", "-trace-cache"}, ""},
+	})
+}
+
+// TestFlags pins the command-line surface: the flag count, so a retired
+// flag stays retired, and the -exp usage string, which must name every
+// experiment id.
+func TestFlags(t *testing.T) {
+	fs := flag.NewFlagSet("asccbench", flag.ContinueOnError)
+	var o options
+	o.register(fs)
+	n := 0
+	fs.VisitAll(func(*flag.Flag) { n++ })
+	if n != 20 {
+		t.Errorf("%d flags registered, want 20", n)
+	}
+	usage := fs.Lookup("exp").Usage
+	for _, id := range ascc.ExperimentIDs() {
+		if !strings.Contains(usage, id) {
+			t.Errorf("-exp usage %q does not list %q", usage, id)
+		}
+	}
 }
 
 // TestConfigScaleout pins the -cores plumbing into the harness
@@ -270,4 +300,23 @@ func TestParseMix(t *testing.T) {
 	if _, err := parseMix("445+abc"); err == nil {
 		t.Fatal("bad mix element accepted")
 	}
+}
+
+// FuzzParseMix: the -mix grammar never panics, and any accepted mix
+// re-parses to the same ids from its canonical name.
+func FuzzParseMix(f *testing.F) {
+	for _, s := range []string{"445+456", "445+401+444+456", "445", "445+abc", "1e3"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		ids, err := parseMix(spec)
+		if err != nil {
+			return
+		}
+		name := ascc.MixName(ids)
+		again, err := parseMix(name)
+		if err != nil || fmt.Sprint(again) != fmt.Sprint(ids) {
+			t.Fatalf("parseMix(%q) = %v, but its name %q re-parses to %v, %v", spec, ids, name, again, err)
+		}
+	})
 }

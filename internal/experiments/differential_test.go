@@ -3,29 +3,20 @@ package experiments
 import (
 	"bytes"
 	"testing"
-
-	"ascc/internal/harness"
 )
-
-// diffConfig is deliberately smaller than the golden budget: the
-// differential test runs every experiment twice (arena replay vs live
-// generation), so it trades statistical weight for coverage of all IDs.
-func diffConfig() harness.Config {
-	cfg := tinyConfig()
-	cfg.WarmupInstr = 60_000
-	cfg.MeasureInstr = 150_000
-	return cfg
-}
 
 // shortDiffIDs is the -short subset: one multiprogrammed figure, the
 // multithreaded workload path and the single-app way sweep — together they
-// exercise every Runner entry point the arena cache intercepts.
+// exercise every Runner entry point that replays arenas.
 var shortDiffIDs = map[string]bool{"fig1": true, "fig8": true, "mt": true}
 
-// TestArenaDifferential renders every experiment with the trace cache on
-// and off and requires byte-identical CSV output. This is the end-to-end
-// guarantee behind the memoised arena: packed replay is indistinguishable
-// from live workload-model generation, for every table the repo produces.
+// TestArenaDifferential renders every experiment with the default
+// packed-stream budget and with the tightest one (TraceCacheMB = 1), and
+// requires byte-identical CSV output. Under the 1 MiB bound the cache
+// evicts arenas mid-experiment and later runs re-synthesise them through
+// Arena.Extend, so this is the end-to-end guarantee that the memory bound
+// — the low-memory setting — never changes a result, for every table the
+// repo produces.
 func TestArenaDifferential(t *testing.T) {
 	for _, id := range IDs() {
 		id := id
@@ -34,9 +25,9 @@ func TestArenaDifferential(t *testing.T) {
 				t.Skip("-short: representative subset only")
 			}
 			t.Parallel()
-			render := func(traceCache bool) []byte {
+			render := func(traceCacheMB int) []byte {
 				cfg := diffConfig()
-				cfg.TraceCache = traceCache
+				cfg.TraceCacheMB = traceCacheMB
 				res, err := ByID(cfg, id)
 				if err != nil {
 					t.Fatal(err)
@@ -47,11 +38,11 @@ func TestArenaDifferential(t *testing.T) {
 				}
 				return buf.Bytes()
 			}
-			replay := render(true)
-			live := render(false)
-			if !bytes.Equal(replay, live) {
-				t.Fatalf("%s: arena replay diverged from live generation\n--- replay ---\n%s\n--- live ---\n%s",
-					id, firstDiffWindow(replay, live), firstDiffWindow(live, replay))
+			roomy := render(0)
+			tight := render(1)
+			if !bytes.Equal(roomy, tight) {
+				t.Fatalf("%s: replay under a 1 MiB trace cache diverged from the default budget\n--- default ---\n%s\n--- 1 MiB ---\n%s",
+					id, firstDiffWindow(roomy, tight), firstDiffWindow(tight, roomy))
 			}
 		})
 	}

@@ -26,12 +26,21 @@ func goldenConfig() harness.Config {
 	return cfg
 }
 
-// goldenExperiments are the artefacts pinned byte-for-byte: the headline
-// 4-core speedup figure, the fairness figure, the cache-size sensitivity
-// table, the core-count scaling table (whose probe column pins the
-// directory's query count at every width) and the set-sampling accuracy
-// table (whose error columns pin how far the 1/N fast path may drift).
-var goldenExperiments = []string{"fig8", "fig9", "table4", "scaleout", "sampling"}
+// goldenExperiments are the artefacts pinned byte-for-byte: every table
+// the repo produces, so any change to the simulator, the policies or the
+// stream path that perturbs a result fails the diff loudly.
+var goldenExperiments = IDs()
+
+// shortGoldenIDs is the -short subset: the headline 4-core speedup figure,
+// the fairness figure, the cache-size sensitivity table, the core-count
+// scaling table (whose probe column pins the directory's query count at
+// every width), the set-sampling accuracy table (whose error columns pin
+// how far the 1/N fast path may drift), and the single-app way sweep and
+// the multithreaded workloads — together every Runner entry point.
+var shortGoldenIDs = map[string]bool{
+	"fig8": true, "fig9": true, "table4": true, "scaleout": true, "sampling": true,
+	"fig1": true, "mt": true,
+}
 
 // TestGoldenTables regenerates each pinned experiment with the golden
 // configuration and requires its CSV rendering to be byte-identical to the
@@ -41,6 +50,9 @@ func TestGoldenTables(t *testing.T) {
 	for _, id := range goldenExperiments {
 		id := id
 		t.Run(id, func(t *testing.T) {
+			if testing.Short() && !shortGoldenIDs[id] {
+				t.Skip("-short: representative subset only")
+			}
 			t.Parallel()
 			res, err := ByID(goldenConfig(), id)
 			if err != nil {

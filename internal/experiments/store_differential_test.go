@@ -8,6 +8,16 @@ import (
 	"ascc/internal/harness"
 )
 
+// diffConfig is deliberately smaller than the golden budget: the store
+// differential renders every experiment three times, so it trades
+// statistical weight for coverage of all IDs.
+func diffConfig() harness.Config {
+	cfg := tinyConfig()
+	cfg.WarmupInstr = 60_000
+	cfg.MeasureInstr = 150_000
+	return cfg
+}
+
 // shortStoreIDs is the -short subset for the store differential: one
 // multiprogrammed figure, the multithreaded path and the scaleout widths —
 // together they cover every arena kind the store persists, including the
@@ -19,7 +29,7 @@ var shortStoreIDs = map[string]bool{"fig8": true, "mt": true, "scaleout": true}
 // store warm (same directory, streams replayed from mmap'd files) — and
 // requires byte-identical CSV output. This is the end-to-end guarantee
 // behind the arena store: cross-process packed replay is indistinguishable
-// from live workload-model generation, for every table the repo produces.
+// from in-process replay, for every table the repo produces.
 func TestStoreDifferential(t *testing.T) {
 	for _, id := range IDs() {
 		id := id

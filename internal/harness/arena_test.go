@@ -2,6 +2,9 @@ package harness
 
 import (
 	"testing"
+
+	"ascc/internal/cmp"
+	"ascc/internal/workload"
 )
 
 // arenaConfig is tinyConfig with the budgets trimmed further: the arena
@@ -19,9 +22,6 @@ func arenaConfig() Config {
 // the same benchmark at the same core.
 func TestArenaSharedAcrossPoliciesAndMixes(t *testing.T) {
 	r := NewRunner(arenaConfig())
-	if r.arenas == nil {
-		t.Fatal("default config did not attach a trace cache")
-	}
 	mix := []int{445, 456}
 	for _, id := range []PolicyID{PBaseline, PDSR, PASCC, PAVGCC} {
 		if _, err := r.RunMix(mix, id); err != nil {
@@ -57,32 +57,70 @@ func TestArenaSharedAcrossPoliciesAndMixes(t *testing.T) {
 	}
 }
 
-// TestArenaReplayBitIdentical compares full simulation results with the
-// trace cache on and off for a representative mix and policy: the replayed
-// stream must reproduce every statistic of live generation exactly.
+// TestArenaReplayBitIdentical compares RunMix's arena replay against a
+// live arm for representative mixes and policies: the replayed stream must
+// reproduce every statistic of live generation exactly, at full fidelity
+// and under a 1/8 set sample.
 func TestArenaReplayBitIdentical(t *testing.T) {
-	mixes := [][]int{{445, 456}, {433, 471, 473, 482}}
-	for _, mix := range mixes {
-		cfgOn := arenaConfig()
-		cfgOff := arenaConfig()
-		cfgOff.TraceCache = false
+	cases := []struct {
+		mix []int
+		den int
+	}{
+		{[]int{445, 456}, 0},
+		{[]int{433, 471, 473, 482}, 0},
+		{[]int{445, 456}, 8},
+	}
+	for _, tc := range cases {
+		cfg := arenaConfig()
+		cfg.SampleDen = tc.den
 		for _, id := range []PolicyID{PBaseline, PAVGCC} {
-			on, err := NewRunner(cfgOn).RunMix(mix, id)
+			replay, err := NewRunner(cfg).RunMix(tc.mix, id)
 			if err != nil {
 				t.Fatal(err)
 			}
-			off, err := NewRunner(cfgOff).RunMix(mix, id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for c := range on.Cores {
-				if on.Cores[c] != off.Cores[c] {
-					t.Fatalf("mix %v policy %s core %d: replay %+v != live %+v",
-						mix, id, c, on.Cores[c], off.Cores[c])
+			live := liveMixRun(t, cfg, tc.mix, id)
+			for c := range replay.Cores {
+				if replay.Cores[c] != live.Cores[c] {
+					t.Fatalf("mix %v 1/%d policy %s core %d: replay %+v != live %+v",
+						tc.mix, tc.den, id, c, replay.Cores[c], live.Cores[c])
 				}
 			}
 		}
 	}
+}
+
+// liveMixRun simulates mix on the machine RunMix builds for cfg, but feeds
+// it the workload generators directly — synthesised as the run consumes
+// them, with no arena in between. Under a set sample each stream is
+// wrapped in the sample spec's View, the filter the arena layer caches.
+func liveMixRun(t *testing.T, cfg Config, mix []int, id PolicyID) cmp.Results {
+	t.Helper()
+	gens, profs, err := workload.BuildMix(mix, cfg.Seed, cfg.Scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := cfg.params(len(mix))
+	spec, err := p.SampleSpec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	timing := make([]cmp.CoreTiming, len(mix))
+	for i, prof := range profs {
+		if spec != nil {
+			gens[i] = spec.View(gens[i])
+		}
+		timing[i] = cmp.CoreTiming{BaseCPI: prof.BaseCPI, Overlap: prof.Overlap}
+	}
+	sets, ways := cfg.L2Geometry()
+	pol, err := NewPolicy(id, len(mix), sets, ways, cfg.Seed, cfg.ResizePeriod())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := cmp.New(p, gens, timing, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys.ScaleSampled(sys.Run(cfg.WarmupInstr, cfg.MeasureInstr))
 }
 
 // TestArenaSharedAcrossConfigsOnOnePool checks the pool-level cache: two
@@ -143,20 +181,6 @@ func TestArenaBudgetUnionAcrossRunners(t *testing.T) {
 	// union like any explicit bound.
 	if got := mk(1, 0); got != int64(DefaultTraceCacheMB)*mi {
 		t.Fatalf("small-then-default: budget %d, want %d", got, int64(DefaultTraceCacheMB)*mi)
-	}
-}
-
-// TestArenaDisabled pins the opt-out: no cache is attached and runs still
-// work on live generation.
-func TestArenaDisabled(t *testing.T) {
-	cfg := arenaConfig()
-	cfg.TraceCache = false
-	r := NewRunner(cfg)
-	if r.arenas != nil {
-		t.Fatal("TraceCache=false still attached a cache")
-	}
-	if _, err := r.RunMix([]int{445, 456}, PBaseline); err != nil {
-		t.Fatal(err)
 	}
 }
 

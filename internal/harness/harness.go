@@ -42,17 +42,11 @@ type Config struct {
 	// (runtime.NumCPU), 1 recovers sequential execution. Results are
 	// bit-identical at every setting; only wall-clock changes.
 	Parallel int
-	// TraceCache memoises each workload's generated reference stream in a
-	// packed in-memory arena (trace.Arena, DESIGN.md §10): the stream is
-	// synthesised once per (workload, seed, scale) and every subsequent run
-	// replays it by straight decode, skipping the component mixing and RNG
-	// draws that otherwise dominate steady-state CPU. Results are
-	// bit-identical with the cache on or off.
-	TraceCache bool
 	// TraceCacheMB bounds the resident size of the packed-stream cache in
-	// MiB; cold arenas are evicted least-recently-used first when the
-	// budget is exceeded. 0 uses DefaultTraceCacheMB. Only meaningful when
-	// TraceCache is set.
+	// MiB. Every run replays its workload streams from packed in-memory
+	// arenas (trace.Arena, DESIGN.md §10), each synthesised once per
+	// (workload, seed, scale); cold arenas are evicted least-recently-used
+	// first when the budget is exceeded. 0 uses DefaultTraceCacheMB.
 	TraceCacheMB int
 	// ArenaStoreDir, when non-empty, roots the persistent arena store
 	// (internal/trace/store, DESIGN.md §14) beneath the packed-stream
@@ -62,10 +56,9 @@ type Config struct {
 	// arenas survive the process and every later run, sweep or CI job
 	// replays instead of regenerates. Empty keeps the cache purely
 	// in-memory (the default; DefaultArenaStoreDir returns the
-	// conventional root). Only meaningful when TraceCache is set; results
-	// are bit-identical with the store on, off, cold or warm. Runners
-	// sharing one pool share one store — the first store-carrying
-	// configuration fixes the directory.
+	// conventional root). Results are bit-identical with the store on,
+	// off, cold or warm. Runners sharing one pool share one store — the
+	// first store-carrying configuration fixes the directory.
 	ArenaStoreDir string
 	// Cores, when non-zero, widens every mix run to that many cores by
 	// cyclic replication (workload.ExtendMix): a 4-app mix on Cores=16 runs
@@ -125,7 +118,6 @@ func DefaultConfig() Config {
 		WarmupInstr:  1_000_000,
 		MeasureInstr: 3_000_000,
 		Seed:         1,
-		TraceCache:   true,
 	}
 }
 
@@ -290,13 +282,12 @@ type Runner struct {
 
 	pool *Pool
 
-	// arenas is the packed reference-stream cache (nil when
-	// Config.TraceCache is off): every registry run replays its workload
-	// streams from memoised arenas instead of re-synthesising them, so the
-	// 5–10 policy runs of a mix — and every other run touching the same
-	// (benchmark, core, seed, scale) stream — share one generation pass.
-	// Pool-attached runners share the pool's cache, extending the sharing
-	// across experiments.
+	// arenas is the packed reference-stream cache: every run replays its
+	// workload streams from memoised arenas instead of re-synthesising
+	// them, so the 5–10 policy runs of a mix — and every other run touching
+	// the same (benchmark, core, seed, scale) stream — share one generation
+	// pass. Pool-attached runners share the pool's cache, extending the
+	// sharing across experiments.
 	arenas *trace.ArenaCache
 
 	mu   sync.Mutex
@@ -336,12 +327,9 @@ func NewRunner(cfg Config) *Runner {
 
 func newRunner(cfg Config, p *Pool) *Runner {
 	cfg.pool = p
-	r := &Runner{Cfg: cfg, pool: p, runs: map[runKey]*inflight{}}
-	if cfg.TraceCache {
-		r.arenas = p.arenaCache(cfg.traceCacheBytes())
-		if cfg.ArenaStoreDir != "" {
-			r.arenas.SetStore(store.New(cfg.ArenaStoreDir))
-		}
+	r := &Runner{Cfg: cfg, pool: p, arenas: p.arenaCache(cfg.traceCacheBytes()), runs: map[runKey]*inflight{}}
+	if cfg.ArenaStoreDir != "" {
+		r.arenas.SetStore(store.New(cfg.ArenaStoreDir))
 	}
 	return r
 }
@@ -351,16 +339,10 @@ func newRunner(cfg Config, p *Pool) *Runner {
 func DefaultArenaStoreDir() (string, error) { return store.DefaultDir() }
 
 // FlushArenas persists every cached stream arena that grew since its last
-// save to the configured persistent store. A no-op without a store (or
-// with the trace cache off); call it once after a batch of runs — the CLI
-// flushes per invocation — so later processes replay these streams
-// instead of re-synthesising them.
-func (r *Runner) FlushArenas() error {
-	if r.arenas == nil {
-		return nil
-	}
-	return r.arenas.FlushStore()
-}
+// save to the configured persistent store. A no-op without a store; call
+// it once after a batch of runs — the CLI flushes per invocation — so later
+// processes replay these streams instead of re-synthesising them.
+func (r *Runner) FlushArenas() error { return r.arenas.FlushStore() }
 
 // FlushArenas persists the pool-wide stream cache to its persistent store
 // (see Runner.FlushArenas); a no-op when no store-carrying runner is
@@ -376,12 +358,13 @@ func (p *Pool) FlushArenas() error {
 }
 
 // replayGens swaps each freshly built generator for an allocation-free
-// replayer over its memoised packed arena (no-op when the trace cache is
-// disabled). kind plus the slot index, the generator name and the runner's
-// seed and scale uniquely determine the stream: workload generators derive
-// their RNG seed and address base from the slot index, so e.g. benchmark
-// 445 at core 0 produces one stream no matter which mix (or single-app
-// baseline) it appears in — all of those runs replay one arena.
+// replayer over its memoised packed arena. kind plus the slot index, the
+// generator name and the runner's seed and scale uniquely determine the
+// stream: workload generators derive their RNG seed and address base from
+// the slot index, so e.g. benchmark 445 at core 0 produces one stream no
+// matter which mix (or single-app baseline) it appears in — all of those
+// runs replay one arena. An empty kind marks externally supplied traces,
+// which are replayers already and are returned as loaded.
 //
 // When p carries a set sample (DESIGN.md §16) each stream is additionally
 // filtered to the sampled sets: the filtered, address-rewritten stream is
@@ -392,20 +375,15 @@ func (p *Pool) FlushArenas() error {
 // sampled run replays the compact stream at full arena speed, touching
 // 1/Den of the references.
 func (r *Runner) replayGens(kind string, gens []trace.Generator, p cmp.Params) ([]trace.Generator, error) {
+	if kind == "" {
+		return gens, nil
+	}
 	spec, err := p.SampleSpec()
 	if err != nil {
 		return nil, err
 	}
 	out := make([]trace.Generator, len(gens))
 	for i, g := range gens {
-		if r.arenas == nil {
-			if spec == nil {
-				out[i] = g
-			} else {
-				out[i] = spec.View(g) // live filtering, no cache to land in
-			}
-			continue
-		}
 		key := r.arenaKey(kind, i, g.Name())
 		a := r.arenas.Get(key, g)
 		if spec == nil {
@@ -442,28 +420,87 @@ func (r *Runner) memo(key runKey, f func() (cmp.Results, error)) (cmp.Results, e
 	return c.res, c.err
 }
 
-// simulate executes a built system while holding a pool worker slot.
-func (r *Runner) simulate(sys interface {
-	Run(warmup, measure uint64) cmp.Results
-}) cmp.Results {
+// job is one simulation as an entry point describes it: the reference
+// streams, the machine they drive and the policy that steers it.
+type job struct {
+	kind   string            // arena key family ("mix", "mt", "single"); "" = external traces
+	gens   []trace.Generator // one stream per core
+	timing []cmp.CoreTiming
+	p      cmp.Params
+	// shared selects the shared-LLC machine of §6.1, which takes no
+	// policy; otherwise the private L2s run pol, or registry design id
+	// when pol is nil.
+	shared bool
+	id     PolicyID
+	pol    coop.Policy
+}
+
+// mixJob describes a multiprogrammed mix on the configured machine. The
+// caller widens the mix first where Config.Cores applies.
+func (r *Runner) mixJob(mix []int) (job, error) {
+	gens, profs, err := workload.BuildMix(mix, r.Cfg.Seed, r.Cfg.Scale)
+	if err != nil {
+		return job{}, err
+	}
+	timing := make([]cmp.CoreTiming, len(profs))
+	for i, p := range profs {
+		timing[i] = cmp.CoreTiming{BaseCPI: p.BaseCPI, Overlap: p.Overlap}
+	}
+	return job{kind: "mix", gens: gens, timing: timing, p: r.Cfg.params(len(mix))}, nil
+}
+
+// machine is a built simulation: a private-LLC cmp.System or the shared-LLC
+// cmp.SharedSystem.
+type machine interface {
+	Run(warmup, instrPerCore uint64) cmp.Results
+	ScaleSampled(cmp.Results) cmp.Results
+}
+
+// build is the one place a Runner assembles a simulated machine: it swaps
+// the job's streams for arena replayers (filtered to the sampled sets when
+// j.p samples) and wires the machine the job names around them.
+func (r *Runner) build(j job) (machine, error) {
+	gens, err := r.replayGens(j.kind, j.gens, j.p)
+	if err != nil {
+		return nil, err
+	}
+	if j.shared {
+		// The shared machine samples with the private machine's spec (its
+		// aggregate L2 keeps the same residue granule), so the filtered
+		// sub-arenas built for the mix runs are replayed here as-is.
+		sp := cmp.DefaultSharedParams(len(gens), r.Cfg.Scale)
+		if r.Cfg.L2SizeBytes > 0 {
+			sp.L2.SizeBytes = r.Cfg.L2SizeBytes / r.Cfg.Scale * len(gens)
+		}
+		sp.SampleDen = j.p.SampleDen
+		return cmp.NewShared(sp, gens, j.timing)
+	}
+	pol := j.pol
+	if pol == nil {
+		sets, ways := r.Cfg.L2Geometry()
+		if pol, err = NewPolicy(j.id, len(gens), sets, ways, r.Cfg.Seed, r.Cfg.ResizePeriod()); err != nil {
+			return nil, err
+		}
+	}
+	return cmp.New(j.p, gens, j.timing, pol)
+}
+
+// run simulates a machine fresh from build while holding a pool worker
+// slot, and rescales a set-sampled run to full-run magnitudes. It takes
+// build's results as they come: r.run(r.build(j)).
+func (r *Runner) run(m machine, err error) (cmp.Results, error) {
+	if err != nil {
+		return cmp.Results{}, err
+	}
 	r.nSims.Add(1)
 	var res cmp.Results
-	r.pool.run(func() { res = sys.Run(r.Cfg.WarmupInstr, r.Cfg.MeasureInstr) })
-	return res
+	r.pool.run(func() { res = m.Run(r.Cfg.WarmupInstr, r.Cfg.MeasureInstr) })
+	return m.ScaleSampled(res), nil
 }
 
 // Simulations reports how many simulations this runner has actually
 // executed (cache hits excluded).
 func (r *Runner) Simulations() uint64 { return r.nSims.Load() }
-
-// timingFor converts profiles into core timing parameters.
-func timingFor(profs []workload.Profile) []cmp.CoreTiming {
-	t := make([]cmp.CoreTiming, len(profs))
-	for i, p := range profs {
-		t[i] = cmp.CoreTiming{BaseCPI: p.BaseCPI, Overlap: p.Overlap}
-	}
-	return t
-}
 
 // AloneCPI returns benchmark id's CPI when running alone on a single-core
 // baseline machine of the configured geometry. The underlying simulation is
@@ -507,24 +544,12 @@ func (r *Runner) RunMix(mix []int, id PolicyID) (cmp.Results, error) {
 func (r *Runner) runMix(mix []int, id PolicyID) (cmp.Results, error) {
 	key := runKey{kind: "mix", name: workload.MixName(mix), policy: id}
 	return r.memo(key, func() (cmp.Results, error) {
-		gens, profs, err := workload.BuildMix(mix, r.Cfg.Seed, r.Cfg.Scale)
+		j, err := r.mixJob(mix)
 		if err != nil {
 			return cmp.Results{}, err
 		}
-		p := r.Cfg.params(len(mix))
-		if gens, err = r.replayGens("mix", gens, p); err != nil {
-			return cmp.Results{}, err
-		}
-		sets, ways := r.Cfg.L2Geometry()
-		pol, err := NewPolicy(id, len(mix), sets, ways, r.Cfg.Seed, r.Cfg.ResizePeriod())
-		if err != nil {
-			return cmp.Results{}, err
-		}
-		sys, err := cmp.New(p, gens, timingFor(profs), pol)
-		if err != nil {
-			return cmp.Results{}, err
-		}
-		return sys.ScaleSampled(r.simulate(sys)), nil
+		j.id = id
+		return r.run(r.build(j))
 	})
 }
 
@@ -534,21 +559,16 @@ func (r *Runner) runMix(mix []int, id PolicyID) (cmp.Results, error) {
 // system construction; unlike RunMix the result is caller-owned and never
 // memoised. The mix is widened to Config.Cores like RunMix.
 func (r *Runner) NewMixSystem(mix []int, id PolicyID) (*cmp.System, error) {
-	mix = r.Cfg.extend(mix)
-	gens, profs, err := workload.BuildMix(mix, r.Cfg.Seed, r.Cfg.Scale)
+	j, err := r.mixJob(r.Cfg.extend(mix))
 	if err != nil {
 		return nil, err
 	}
-	p := r.Cfg.params(len(mix))
-	if gens, err = r.replayGens("mix", gens, p); err != nil {
-		return nil, err
-	}
-	sets, ways := r.Cfg.L2Geometry()
-	pol, err := NewPolicy(id, len(mix), sets, ways, r.Cfg.Seed, r.Cfg.ResizePeriod())
+	j.id = id
+	m, err := r.build(j)
 	if err != nil {
 		return nil, err
 	}
-	return cmp.New(p, gens, timingFor(profs), pol)
+	return m.(*cmp.System), nil
 }
 
 // RunMixWith runs a mix under an explicitly constructed policy (for the
@@ -556,19 +576,12 @@ func (r *Runner) NewMixSystem(mix []int, id PolicyID) (*cmp.System, error) {
 // is caller-owned mutable state, so these runs are pool-bounded but never
 // memoised.
 func (r *Runner) RunMixWith(mix []int, pol coop.Policy) (cmp.Results, error) {
-	gens, profs, err := workload.BuildMix(mix, r.Cfg.Seed, r.Cfg.Scale)
+	j, err := r.mixJob(mix)
 	if err != nil {
 		return cmp.Results{}, err
 	}
-	p := r.Cfg.params(len(mix))
-	if gens, err = r.replayGens("mix", gens, p); err != nil {
-		return cmp.Results{}, err
-	}
-	sys, err := cmp.New(p, gens, timingFor(profs), pol)
-	if err != nil {
-		return cmp.Results{}, err
-	}
-	return sys.ScaleSampled(r.simulate(sys)), nil
+	j.pol = pol
+	return r.run(r.build(j))
 }
 
 // RunShared runs a mix on the shared-LLC machine of §6.1 (memoised). The
@@ -577,27 +590,12 @@ func (r *Runner) RunShared(mix []int) (cmp.Results, error) {
 	mix = r.Cfg.extend(mix)
 	key := runKey{kind: "shared", name: workload.MixName(mix)}
 	return r.memo(key, func() (cmp.Results, error) {
-		gens, profs, err := workload.BuildMix(mix, r.Cfg.Seed, r.Cfg.Scale)
+		j, err := r.mixJob(mix)
 		if err != nil {
 			return cmp.Results{}, err
 		}
-		// The shared machine samples with the private machine's spec (its
-		// aggregate L2 keeps the same residue granule), so the filtered
-		// sub-arenas built for the mix runs are replayed here as-is.
-		p := r.Cfg.params(len(mix))
-		if gens, err = r.replayGens("mix", gens, p); err != nil {
-			return cmp.Results{}, err
-		}
-		sp := cmp.DefaultSharedParams(len(mix), r.Cfg.Scale)
-		if r.Cfg.L2SizeBytes > 0 {
-			sp.L2.SizeBytes = r.Cfg.L2SizeBytes / r.Cfg.Scale * len(mix)
-		}
-		sp.SampleDen = p.SampleDen
-		sys, err := cmp.NewShared(sp, gens, timingFor(profs))
-		if err != nil {
-			return cmp.Results{}, err
-		}
-		return sys.ScaleSampled(r.simulate(sys)), nil
+		j.shared = true
+		return r.run(r.build(j))
 	})
 }
 
@@ -610,25 +608,17 @@ func (r *Runner) RunMT(name string, threads int, id PolicyID) (cmp.Results, erro
 		if err != nil {
 			return cmp.Results{}, err
 		}
-		p := r.Cfg.params(threads)
-		gens, err := r.replayGens("mt", prof.NewGenerators(threads, rng.Mix64(r.Cfg.Seed^0x317), r.Cfg.Scale), p)
-		if err != nil {
-			return cmp.Results{}, err
-		}
 		timing := make([]cmp.CoreTiming, threads)
 		for i := range timing {
 			timing[i] = cmp.CoreTiming{BaseCPI: prof.BaseCPI, Overlap: prof.Overlap}
 		}
-		sets, ways := r.Cfg.L2Geometry()
-		pol, err := NewPolicy(id, threads, sets, ways, r.Cfg.Seed, r.Cfg.ResizePeriod())
-		if err != nil {
-			return cmp.Results{}, err
-		}
-		sys, err := cmp.New(p, gens, timing, pol)
-		if err != nil {
-			return cmp.Results{}, err
-		}
-		return sys.ScaleSampled(r.simulate(sys)), nil
+		return r.run(r.build(job{
+			kind:   "mt",
+			gens:   prof.NewGenerators(threads, rng.Mix64(r.Cfg.Seed^0x317), r.Cfg.Scale),
+			timing: timing,
+			p:      r.Cfg.params(threads),
+			id:     id,
+		}))
 	})
 }
 
@@ -640,18 +630,18 @@ func (r *Runner) RunSingle(id int, p cmp.Params) (cmp.Results, *cmp.System, erro
 	if err != nil {
 		return cmp.Results{}, nil, err
 	}
-	gen := prof.NewGenerator(rng.Mix64(r.Cfg.Seed+77), 0, r.Cfg.Scale)
-	gens, err := r.replayGens("single", []trace.Generator{gen}, p)
+	m, err := r.build(job{
+		kind:   "single",
+		gens:   []trace.Generator{prof.NewGenerator(rng.Mix64(r.Cfg.Seed+77), 0, r.Cfg.Scale)},
+		timing: []cmp.CoreTiming{{BaseCPI: prof.BaseCPI, Overlap: prof.Overlap}},
+		p:      p,
+		id:     PBaseline,
+	})
+	res, err := r.run(m, err)
 	if err != nil {
 		return cmp.Results{}, nil, err
 	}
-	sys, err := cmp.New(p, gens,
-		[]cmp.CoreTiming{{BaseCPI: prof.BaseCPI, Overlap: prof.Overlap}}, policies.NewBaseline())
-	if err != nil {
-		return cmp.Results{}, nil, err
-	}
-	res := sys.ScaleSampled(r.simulate(sys))
-	return res, sys, nil
+	return res, m.(*cmp.System), nil
 }
 
 // Table is a renderable experiment result.

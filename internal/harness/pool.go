@@ -23,8 +23,8 @@ type Pool struct {
 
 	mu      sync.Mutex
 	runners map[Config]*Runner
-	// arenas is the pool-wide packed reference-stream cache (created on
-	// first use by a trace-caching runner): arena keys carry seed and
+	// arenas is the pool-wide packed reference-stream cache (created by
+	// the first runner attached to the pool): arena keys carry seed and
 	// scale, so runners with different machine configurations — an L2-size
 	// sweep, a prefetcher study — still share the one generation pass per
 	// workload stream. It has its own lock because runner construction

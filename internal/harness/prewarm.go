@@ -90,12 +90,9 @@ func (r *Runner) prewarmStreams() ([]prewarmStream, error) {
 // subsequent processes (runs, sweeps, CI jobs) replay from mmap'd files
 // instead of regenerating. It first removes the temp files killed writers
 // left in the store root (Store.RemoveStaleTemps). It returns how many
-// distinct streams were warmed. Requires the trace cache and a store
-// (Config.ArenaStoreDir); asccbench -prewarm is the CLI entry.
+// distinct streams were warmed. Requires a store (Config.ArenaStoreDir);
+// asccbench -prewarm is the CLI entry.
 func (r *Runner) PrewarmArenas() (int, error) {
-	if r.arenas == nil {
-		return 0, fmt.Errorf("harness: prewarm requires the trace cache (Config.TraceCache)")
-	}
 	if r.arenas.Store() == nil {
 		return 0, fmt.Errorf("harness: prewarm requires a persistent arena store (Config.ArenaStoreDir)")
 	}

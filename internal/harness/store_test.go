@@ -23,9 +23,6 @@ func storeConfig(t *testing.T) Config {
 // storeStats digs the runner's persistent tier out for assertions.
 func storeStats(t *testing.T, r *Runner) store.Stats {
 	t.Helper()
-	if r.arenas == nil {
-		t.Fatal("runner has no trace cache")
-	}
 	s, ok := r.arenas.Store().(*store.Store)
 	if !ok {
 		t.Fatalf("runner store is %T, want *store.Store", r.arenas.Store())
@@ -118,14 +115,9 @@ func TestPrewarmCoversSuiteStreams(t *testing.T) {
 	}
 }
 
-// TestPrewarmPreconditions: prewarming is meaningless without the cache
-// tier it fills or the store it fills into.
+// TestPrewarmPreconditions: prewarming is meaningless without the store it
+// fills into.
 func TestPrewarmPreconditions(t *testing.T) {
-	noCache := arenaConfig()
-	noCache.TraceCache = false
-	if _, err := NewRunner(noCache).PrewarmArenas(); err == nil {
-		t.Fatal("prewarm without a trace cache did not fail")
-	}
 	noStore := arenaConfig()
 	if _, err := NewRunner(noStore).PrewarmArenas(); err == nil {
 		t.Fatal("prewarm without a store did not fail")

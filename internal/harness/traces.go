@@ -41,36 +41,36 @@ func LoadTraceFile(path string) (*trace.Replay, error) {
 }
 
 // RunTraces simulates one externally supplied trace per core under a
-// registry policy, using the runner's machine configuration.
+// registry policy, using the runner's machine configuration. The traces
+// always run at full fidelity: a configuration that samples sets
+// (Config.SampleDen > 1) is rejected rather than run on the compact
+// machine with unfiltered streams.
 func (r *Runner) RunTraces(specs []TraceSpec, id PolicyID) (cmp.Results, error) {
 	if len(specs) == 0 {
 		return cmp.Results{}, fmt.Errorf("harness: no traces")
 	}
-	gens := make([]trace.Generator, len(specs))
-	timing := make([]cmp.CoreTiming, len(specs))
+	j := job{
+		gens:   make([]trace.Generator, len(specs)),
+		timing: make([]cmp.CoreTiming, len(specs)),
+		p:      r.Cfg.params(len(specs)),
+		id:     id,
+	}
+	if j.p.SampleDen > 1 {
+		return cmp.Results{}, fmt.Errorf("harness: set sampling 1/%d does not apply to trace replays (external traces are not re-synthesisable, so filtered variants would shadow the real stream)", j.p.SampleDen)
+	}
 	for i, spec := range specs {
 		rp, err := LoadTraceFile(spec.Path)
 		if err != nil {
 			return cmp.Results{}, err
 		}
-		gens[i] = rp
-		timing[i] = cmp.CoreTiming{BaseCPI: spec.BaseCPI, Overlap: spec.Overlap}
-		if timing[i].BaseCPI <= 0 {
-			timing[i].BaseCPI = 1.0
+		j.gens[i] = rp
+		j.timing[i] = cmp.CoreTiming{BaseCPI: spec.BaseCPI, Overlap: spec.Overlap}
+		if j.timing[i].BaseCPI <= 0 {
+			j.timing[i].BaseCPI = 1.0
 		}
-		if timing[i].Overlap <= 0 {
-			timing[i].Overlap = 0.5
+		if j.timing[i].Overlap <= 0 {
+			j.timing[i].Overlap = 0.5
 		}
 	}
-	p := r.Cfg.params(len(specs))
-	sets, ways := r.Cfg.L2Geometry()
-	pol, err := NewPolicy(id, len(specs), sets, ways, r.Cfg.Seed, r.Cfg.ResizePeriod())
-	if err != nil {
-		return cmp.Results{}, err
-	}
-	sys, err := cmp.New(p, gens, timing, pol)
-	if err != nil {
-		return cmp.Results{}, err
-	}
-	return r.simulate(sys), nil
+	return r.run(r.build(j))
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ascc/internal/trace"
@@ -94,5 +95,27 @@ func TestRunTraces(t *testing.T) {
 	}
 	if _, err := r.RunTraces(nil, PAVGCC); err == nil {
 		t.Fatal("empty trace list accepted")
+	}
+}
+
+// TestRunTracesRejectsSampling: external traces cannot be filtered to a set
+// sample, so a sampling configuration must fail loudly instead of running
+// the compact 1/N machine on unfiltered streams and reporting unscaled
+// results. The prefetcher turns sampling off, so that combination runs at
+// full fidelity.
+func TestRunTracesRejectsSampling(t *testing.T) {
+	binPath, csvPath := writeTestTraces(t)
+	specs := []TraceSpec{{Path: binPath}, {Path: csvPath}}
+	cfg := DefaultConfig()
+	cfg.WarmupInstr = 20_000
+	cfg.MeasureInstr = 50_000
+	cfg.SampleDen = 8
+	_, err := NewRunner(cfg).RunTraces(specs, PAVGCC)
+	if err == nil || !strings.Contains(err.Error(), "does not apply to trace replays") {
+		t.Fatalf("sampled trace replay: err %v, want the trace-replay rejection", err)
+	}
+	cfg.Prefetch = true
+	if _, err := NewRunner(cfg).RunTraces(specs, PAVGCC); err != nil {
+		t.Fatalf("prefetch run (sampling off): %v", err)
 	}
 }

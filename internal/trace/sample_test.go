@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -233,4 +234,32 @@ func TestSampledViewArena(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzParseSampleRatio: the -sample grammar never panics, "off" is the only
+// accepted spelling of full fidelity, and any accepted denominator is >= 2
+// and re-parses to itself from its canonical "1/N" form.
+func FuzzParseSampleRatio(f *testing.F) {
+	for _, s := range []string{"off", "", "1/8", "1/2", "2/8", "8", "1/x", "on"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		den, err := ParseSampleRatio(v)
+		if err != nil {
+			return
+		}
+		if den == 0 {
+			if v != "" && v != "off" {
+				t.Fatalf("ParseSampleRatio(%q) = full fidelity", v)
+			}
+			return
+		}
+		if den < 2 {
+			t.Fatalf("ParseSampleRatio(%q) accepted denominator %d", v, den)
+		}
+		canon := fmt.Sprintf("1/%d", den)
+		if again, err := ParseSampleRatio(canon); err != nil || again != den {
+			t.Fatalf("ParseSampleRatio(%q) = %d, but %q re-parses to %d, %v", v, den, canon, again, err)
+		}
+	})
 }
