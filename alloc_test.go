@@ -14,8 +14,8 @@ import (
 // eviction handling must all be allocation-free — a regression here
 // silently costs double-digit percent throughput, so the budget is
 // enforced, not just benchmarked. The default machine has 4-way L1s, so
-// this drives the specialized packed kernel;
-// TestGenericBurstSteadyStateAllocations covers the other kernel path.
+// this drives the burst loop through matchMask's unrolled 4-way row;
+// TestGenericBurstSteadyStateAllocations covers its generic loop.
 func TestSteadyStateRunAllocations(t *testing.T) {
 	cfg := ascc.DefaultConfig()
 	runner := ascc.NewRunner(cfg)
@@ -165,10 +165,10 @@ func TestSampledStoreReplaySteadyStateAllocations(t *testing.T) {
 	}
 }
 
-// TestGenericBurstSteadyStateAllocations pins the non-4-way burst kernel
-// (the generic packed/wide path) to the same budget.
+// TestGenericBurstSteadyStateAllocations pins a 2-way L1 (the burst loop
+// through matchMask's generic loop) to the same budget.
 // The default harness machines all carry 4-way L1s, so without this test
-// the generic kernel could silently grow a per-reference or per-event
+// another associativity could silently grow a per-reference or per-event
 // allocation and no gate would notice until someone swept L1
 // associativity.
 func TestGenericBurstSteadyStateAllocations(t *testing.T) {
@@ -177,7 +177,7 @@ func TestGenericBurstSteadyStateAllocations(t *testing.T) {
 	cfg.MeasureInstr = 20_000
 	runner := ascc.NewRunner(cfg)
 	p := cfg.Params(1)
-	p.L1.Ways = 2 // routes every L1 read through the generic burst kernel
+	p.L1.Ways = 2 // routes every L1 probe through matchMask's generic loop
 	_, sys, err := runner.RunSingle(444, p)
 	if err != nil {
 		t.Fatal(err)
@@ -188,6 +188,6 @@ func TestGenericBurstSteadyStateAllocations(t *testing.T) {
 		sys.Run(1_000, 20_000)
 	})
 	if allocs > 8 {
-		t.Errorf("generic-kernel System.Run allocates %.0f times per run, budget is 8", allocs)
+		t.Errorf("2-way-L1 System.Run allocates %.0f times per run, budget is 8", allocs)
 	}
 }

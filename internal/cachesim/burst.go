@@ -1,10 +1,6 @@
 package cachesim
 
-import (
-	"math/bits"
-
-	"ascc/internal/trace"
-)
+import "ascc/internal/trace"
 
 // BurstEvent is why ReadBurst stopped consuming references.
 type BurstEvent uint8
@@ -53,13 +49,13 @@ func (e BurstEvent) String() string {
 
 // ReadBurst consumes consecutive references from bt until one needs the
 // hierarchy below this cache, then returns at that event. Per reference it
-// probes the ways-major tag row, updates the set's packed recency word and
-// hit/miss counters, and advances the deferred instruction/clock
-// accounting; clock publication, CoreStats folding and all below-L1 work
-// (demand descent, write-through upgrade, latency) belong to the caller.
-// Read hits and stores to already-Modified lines are consumed without
-// leaving the kernel; a miss or a store-upgrade consumes the reference's
-// L1-level part and reports the remainder through block/way/write.
+// runs Access (tag probe, set counters, MRU touch) and advances the
+// deferred instruction/clock accounting; clock publication, CoreStats
+// folding and all below-L1 work (demand descent, write-through upgrade,
+// latency) belong to the caller. Read hits and stores to already-Modified
+// lines are consumed without leaving the kernel; a miss or a store-upgrade
+// consumes the reference's L1-level part and reports the remainder through
+// block/way/write.
 //
 // The state exchange is deliberately all scalars: with events every ~1-2
 // references on miss-heavy workloads, the call boundary is the kernel's
@@ -80,67 +76,35 @@ func (e BurstEvent) String() string {
 // 0.0*Overlap to a finite non-negative clock: the identity, so skipping it
 // changes no bits. An event reference's latency contribution is added by
 // the caller after the descent, exactly where the per-ref loop added it.
-// The packed 4-way loop lives directly in ReadBurst — the geometry every
-// L1 in the harness uses, so this is where the simulator spends its life
-// and a second call hop per event would be measurable. All cache fields
-// are hoisted into locals before the loop: the in-loop stores go through
-// meta (set counters, recency) and never through the Cache struct or a
-// slice header, so nothing needs reloading per reference.
+// Every geometry runs this one loop. DESIGN.md §11 records what the
+// per-reference Access call costs against an inline 4-way loop: 5-11% of
+// the 4-core mix's wall time, inside the run-to-run spread.
 func (c *Cache) ReadBurst(bt *trace.Batch, shift uint, baseCPI float64, quota uint64, limit float64, instr uint64, clock float64) (ev BurstEvent, instrOut uint64, clockOut float64, hits uint64, block uint64, way int, write bool) {
-	if c.wide != nil || c.ways != 4 {
-		return c.readBurstGeneric(bt, shift, baseCPI, quota, limit, instr, clock)
-	}
 	refs := bt.Refs
 	cur := bt.Pos
 	start := cur
-	setMask := c.setMask
-	stride := c.stride
-	tags := c.tags
-	meta := c.meta
-	lines := c.lines
 	ev = BurstBatchEnd
 	var evBlock uint64
 	var evWay int
 	var evWrite bool
 	for cur < len(refs) {
 		ref := refs[cur]
-		block := ref.Addr >> shift
-		si := int(block & setMask)
-		base := si * stride
-		t := tags[base : base+4 : base+4]
-		match := b2u(t[0] == block) | b2u(t[1] == block)<<1 |
-			b2u(t[2] == block)<<2 | b2u(t[3] == block)<<3
-		m := &meta[si]
-		if match &= m.valid; match == 0 {
-			// Miss: the reference is still consumed — the set counter and
-			// the instruction-gap clock add land here, in stream order —
-			// and the below-L1 remainder is the caller's.
-			m.misses++
-			cur++
-			n := uint64(ref.Gap) + 1
-			instr += n
-			clock += float64(n) * baseCPI
-			evBlock, evWrite = block, ref.Write
-			ev = BurstMiss
-			break
-		}
-		w := bits.TrailingZeros64(match)
-		m.hits++
-		// Fused MRU touch, exactly as in Access: the SWAR zero-nibble rank
-		// search, then ranks below it shift down one nibble and way w takes
-		// rank 0. (A compare-chain rank search profiles ~2x slower here —
-		// three setcc chains against nibblePos's five straight ALU ops.)
-		o := m.order
-		p := nibblePos(o, w)
-		low := uint64(1)<<(4*uint(p)) - 1
-		hi := ^uint64(0) << (4 * uint(p+1))
-		m.order = o&hi | (o&low)<<4 | uint64(w)
+		blk := ref.Addr >> shift
+		// A miss is still consumed: Access counted it, the instruction-gap
+		// clock add lands below in stream order, and the below-L1
+		// remainder is the caller's.
+		w, hit := c.Access(blk)
 		cur++
 		n := uint64(ref.Gap) + 1
 		instr += n
 		clock += float64(n) * baseCPI
-		if ref.Write && lines[base+w].State != Modified {
-			evBlock, evWay = block, w
+		if !hit {
+			evBlock, evWrite = blk, ref.Write
+			ev = BurstMiss
+			break
+		}
+		if ref.Write && c.lines[int(blk&c.setMask)*c.stride+w].State != Modified {
+			evBlock, evWay = blk, w
 			ev = BurstUpgrade
 			break
 		}
@@ -163,78 +127,6 @@ func (c *Cache) ReadBurst(bt *trace.Batch, shift uint, baseCPI float64, quota ui
 	// one miss is consumed per call, so the hit count is derived at exit
 	// instead of maintained per reference.
 	hits = uint64(cur - start)
-	if ev == BurstMiss {
-		hits--
-	}
-	return ev, instr, clock, hits, evBlock, evWay, evWrite
-}
-
-// readBurstGeneric covers every other geometry: packed rows of any
-// associativity via matchMask, and the wide fallback via probe/touch.
-func (c *Cache) readBurstGeneric(bt *trace.Batch, shift uint, baseCPI float64, quota uint64, limit float64, instr uint64, clock float64) (BurstEvent, uint64, float64, uint64, uint64, int, bool) {
-	refs := bt.Refs
-	cur := bt.Pos
-	start := cur
-	ev := BurstBatchEnd
-	var evBlock uint64
-	var evWay int
-	var evWrite bool
-	for cur < len(refs) {
-		ref := refs[cur]
-		block := ref.Addr >> shift
-		si := int(block & c.setMask)
-		base := si * c.stride
-		// Resolve the reference against this cache: hitWay < 0 is a miss.
-		hitWay := -1
-		if c.wide == nil {
-			m := &c.meta[si]
-			match := matchMask(c.tags[base:base+c.ways:base+c.ways], block)
-			if match &= m.valid; match != 0 {
-				w := bits.TrailingZeros64(match)
-				hitWay = w
-				m.hits++
-				o := m.order
-				p := nibblePos(o, w)
-				low := uint64(1)<<(4*uint(p)) - 1
-				hi := ^uint64(0) << (4 * uint(p+1))
-				m.order = o&hi | (o&low)<<4 | uint64(w)
-			} else {
-				m.misses++
-			}
-		} else {
-			if w := c.probe(si, block); w >= 0 {
-				hitWay = w
-				c.meta[si].hits++
-				c.touch(si, w)
-			} else {
-				c.meta[si].misses++
-			}
-		}
-		cur++
-		n := uint64(ref.Gap) + 1
-		instr += n
-		clock += float64(n) * baseCPI
-		if hitWay < 0 {
-			evBlock, evWrite = block, ref.Write
-			ev = BurstMiss
-			break
-		}
-		if ref.Write && c.lines[base+hitWay].State != Modified {
-			evBlock, evWay = block, hitWay
-			ev = BurstUpgrade
-			break
-		}
-		if instr >= quota {
-			ev = BurstQuota
-			break
-		}
-		if clock >= limit {
-			ev = BurstFrontier
-			break
-		}
-	}
-	bt.Pos = cur
-	hits := uint64(cur - start)
 	if ev == BurstMiss {
 		hits--
 	}

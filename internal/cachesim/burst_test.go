@@ -7,9 +7,10 @@ import (
 	"ascc/internal/trace"
 )
 
-// burstGeometries returns one cache per kernel path: the specialized packed
-// 4-way loop, the generic packed loop (2-way) and the wide fallback (fully
-// associative). Every behavioural test below runs over all three.
+// burstGeometries returns one cache per branch of Access, the probe every
+// ReadBurst reference goes through: matchMask's unrolled 4- and 8-way rows,
+// its generic loop (2-way) and the wide fallback (fully associative). Every
+// behavioural test below runs over all four.
 func burstGeometries() []struct {
 	name string
 	cfg  Config
@@ -19,6 +20,7 @@ func burstGeometries() []struct {
 		cfg  Config
 	}{
 		{"packed-4way", Config{SizeBytes: 512, Ways: 4, LineBytes: 32}},
+		{"packed-8way", Config{SizeBytes: 512, Ways: 8, LineBytes: 32}},
 		{"packed-2way", Config{SizeBytes: 256, Ways: 2, LineBytes: 32}},
 		{"wide", Config{SizeBytes: 1 << 10, Ways: 8, LineBytes: 32, FullyAssoc: true}},
 	}
@@ -186,11 +188,12 @@ func TestBurstEventString(t *testing.T) {
 // the engine's per-reference loop did for each hit: the Access call, the
 // CoreStats fields updated one reference at a time and the core clock
 // published to its shared slot around the access (the frozen oracle in
-// internal/cmp/refstep_test.go). The burst defers all of that to the event
-// boundary, so on hit-heavy streams the gap here is the engine's per-hit
-// overhead; the end-to-end BenchmarkPhase pair in internal/cmp shows how
-// much survives on the miss-heavy scale-8 mixes, whose events cut bursts
-// short every ~1.2 references.
+// internal/cmp/refstep_test.go). Both arms probe through the same Access;
+// the burst defers the rest to the event boundary, so on hit-heavy streams
+// the gap here is the engine's per-hit accounting overhead; the end-to-end
+// BenchmarkPhase pair in internal/cmp shows how much survives on the
+// miss-heavy scale-8 mixes, whose events cut bursts short every ~1.2
+// references.
 func BenchmarkBurstThroughput(b *testing.B) {
 	cfg := Config{SizeBytes: 64 * 4 * 32, Ways: 4, LineBytes: 32}
 	const resident = 128 // half the ways of every set stay valid

@@ -30,6 +30,10 @@
 //     reuse, owner) in one flat slab, kept addressable because the coherence
 //     engine in internal/cmp mutates flags through the Line pointer API.
 //
+// Access is the one demand probe: on packed rows it fuses the matchMask
+// probe with the MRU touch, and ReadBurst steps every L1 reference, at
+// every geometry, through it.
+//
 // Sets wider than 16 ways (the fully associative study caches of Figure 1)
 // fall back to explicit []int recency stacks — the packed word fits at most
 // 16 4-bit ranks. Both paths are driven against the frozen reference
@@ -354,7 +358,7 @@ func b2u(b bool) uint64 {
 // 8-way case (the paper's L2 associativity, also the chunk size of the
 // ganged-row scan) and the 4-way case (the L1) cover nearly every probe the
 // simulator issues; both are unrolled into one straight-line expression with
-// no loop-carried dependency.
+// no loop-carried dependency. Every other packed width takes the loop.
 func matchMask(t []uint64, block uint64) uint64 {
 	switch len(t) {
 	case 8:
@@ -404,31 +408,16 @@ func (c *Cache) Line(setIdx, way int) *Line { return &c.lines[setIdx*c.stride+wa
 
 // Access performs a demand lookup: on a hit the line is promoted to MRU and
 // per-set hit statistics are updated; on a miss only the miss counters move.
-// The caller handles the fill via Victim/Insert. The packed fast path is a
-// single function: probe and MRU promotion fused, no calls, no allocation.
+// The caller handles the fill via Victim/Insert. On packed rows the
+// matchMask probe and the MRU promotion are fused here, with no allocation;
+// DESIGN.md §11 records that splitting them into probe + touch measured
+// slower. ReadBurst steps every L1 reference through Access.
 func (c *Cache) Access(block uint64) (way int, hit bool) {
 	si := int(block & c.setMask)
 	m := &c.meta[si]
 	if c.wide == nil {
 		base := si * c.stride
-		// The 8- and 4-way row compares are open-coded: matchMask's generic
-		// loop keeps it out of the inliner, and this probe is the hottest
-		// call site in the simulator — the switch saves a call per access.
-		var match uint64
-		switch c.ways {
-		case 8:
-			t := c.tags[base : base+8 : base+8]
-			match = b2u(t[0] == block) | b2u(t[1] == block)<<1 |
-				b2u(t[2] == block)<<2 | b2u(t[3] == block)<<3 |
-				b2u(t[4] == block)<<4 | b2u(t[5] == block)<<5 |
-				b2u(t[6] == block)<<6 | b2u(t[7] == block)<<7
-		case 4:
-			t := c.tags[base : base+4 : base+4]
-			match = b2u(t[0] == block) | b2u(t[1] == block)<<1 |
-				b2u(t[2] == block)<<2 | b2u(t[3] == block)<<3
-		default:
-			match = matchMask(c.tags[base:base+c.ways:base+c.ways], block)
-		}
+		match := matchMask(c.tags[base:base+c.ways:base+c.ways], block)
 		if match &= m.valid; match != 0 {
 			w := bits.TrailingZeros64(match)
 			m.hits++

@@ -472,7 +472,8 @@ func (s *System) runPhase(quota uint64) {
 				// Store hit on a line whose inclusive L2 copy is not yet
 				// Modified: the kernel already did the L1 hit accounting and
 				// recency touch; the write-through upgrade and the marker
-				// transition happen here (access's logic, sans re-probe).
+				// transition happen here (the frozen per-reference access's
+				// logic in refstep_test.go, sans re-probe).
 				// The upgrade's latency is 0, so the clock is unchanged.
 				line := l1.Line(l1.SetIndex(block), way)
 				s.writeThroughHit(c, block)
@@ -526,33 +527,6 @@ func (s *System) runPhase(quota uint64) {
 		}
 		front[j] = int32(c)
 	}
-}
-
-// access runs one reference through the hierarchy and returns its raw
-// latency (before the overlap factor).
-func (s *System) access(c int, ref trace.Ref) float64 {
-	block := ref.Addr >> s.lineShift
-	st := &s.live[c]
-	st.L1Accesses++
-	if w, hit := s.l1s[c].Access(block); hit {
-		st.L1Hits++
-		if ref.Write {
-			// The L1 line's state mirrors whether the inclusive L2 copy is
-			// already Modified: the first store per L1 residency runs the
-			// write-through upgrade, repeat stores skip the L2 probe. The
-			// marker is cleared whenever the L2 copy leaves Modified while
-			// the L1 copy survives (the M->S downgrade in remoteHit); every
-			// other exit from Modified invalidates the L1 line too.
-			l1 := s.l1s[c]
-			line := l1.Line(l1.SetIndex(block), w)
-			if line.State != cachesim.Modified {
-				s.writeThroughHit(c, block)
-				line.State = cachesim.Modified
-			}
-		}
-		return 0 // L1 hit latency is folded into BaseCPI
-	}
-	return s.l2Demand(c, block, ref.Write)
 }
 
 // writeThroughHit propagates a store that hit the L1 to the inclusive L2:

@@ -81,8 +81,29 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// checkConservation asserts the statistics identities every run must keep,
+// per core: each L1 access hits or descends to the L2, each L2 demand access
+// is served locally, remotely or by a memory fill, and each off-chip access
+// is a fill, a writeback or a prefetch fetch.
+func checkConservation(t *testing.T, res Results) {
+	t.Helper()
+	for i, c := range res.Cores {
+		if c.L1Accesses != c.L1Hits+c.L2Accesses {
+			t.Errorf("core %d: %d L1 accesses != %d hits + %d L2 accesses", i,
+				c.L1Accesses, c.L1Hits, c.L2Accesses)
+		}
+		if c.L2Accesses != c.L2LocalHits+c.L2RemoteHits+c.L2MemFills {
+			t.Errorf("core %d: %d L2 accesses != %d + %d + %d", i,
+				c.L2Accesses, c.L2LocalHits, c.L2RemoteHits, c.L2MemFills)
+		}
+		if c.OffChip != c.L2MemFills+c.Writebacks+c.PrefIssued {
+			t.Errorf("core %d: %d off-chip != %d fills + %d writebacks + %d prefetches", i,
+				c.OffChip, c.L2MemFills, c.Writebacks, c.PrefIssued)
+		}
+	}
+}
+
 func TestAccessConservation(t *testing.T) {
-	// Local hits + remote hits + memory fills must equal L2 demand accesses.
 	p := tinyParams(2)
 	gens := []trace.Generator{
 		&scriptGen{name: "a", refs: loopRefs(0, 4, 8, 2)},
@@ -93,11 +114,8 @@ func TestAccessConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := sys.Run(0, 5000)
+	checkConservation(t, res)
 	for i, c := range res.Cores {
-		if c.L2Accesses != c.L2LocalHits+c.L2RemoteHits+c.L2MemFills {
-			t.Errorf("core %d: %d accesses != %d + %d + %d", i,
-				c.L2Accesses, c.L2LocalHits, c.L2RemoteHits, c.L2MemFills)
-		}
 		if c.Instructions < 5000 {
 			t.Errorf("core %d committed %d instructions, want >= 5000", i, c.Instructions)
 		}

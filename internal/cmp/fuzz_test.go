@@ -19,14 +19,16 @@ import (
 // (diverse BaseCPI), write-hit upgrades (random store bits over a tiny
 // block space), long L2-hit runs (read-heavy streams over an L1-thrashing
 // L2-resident working set), batch wrap-around (streams longer than the
-// 64-ref batch), both kernel paths (4-way specialized, non-4-way generic),
-// and the prefetcher.
+// 64-ref batch), an L1 on every branch of cachesim's Access (the
+// unrolled 4- and 8-way rows, matchMask's loop at 2 ways, and the wide
+// fallback of a fully associative cache past 16 ways), and the
+// prefetcher. Every case also checks statistics conservation.
 func FuzzBurstEquivalence(f *testing.F) {
 	f.Add([]byte("burst-kernel-seed"))
 	f.Add([]byte{3, 1, 1, 9, 1, 0x10, 2, 1, 0x31, 5, 0, 0x52, 7, 1})
 	f.Add([]byte{2, 0, 0, 200, 0, 0x21, 0, 0, 0x22, 1, 1, 0x23, 2, 0, 0x24, 3, 1})
 	f.Add([]byte{0, 1, 1, 4, 1, 0xFF, 0, 1})
-	// L2-hit-heavy: one core, specialized 4-way L1, a read-only cycle over
+	// L2-hit-heavy: one core, 4-way L1, a read-only cycle over
 	// 21 distinct blocks — far beyond the tiny L1 but L2-resident, so
 	// nearly every access is a clean local L2 hit.
 	f.Add([]byte{
@@ -54,7 +56,6 @@ func FuzzBurstEquivalence(f *testing.F) {
 			t.Skip()
 		}
 		cores := 1 + int(data[0]%3)
-		l1Ways := 2 << (data[1] % 2) // 2: generic kernel path, 4: specialized
 		useASCC := data[2]%2 == 1
 		quota := 100 + uint64(data[3])*16
 		warmup := uint64(0)
@@ -62,7 +63,23 @@ func FuzzBurstEquivalence(f *testing.F) {
 			warmup = quota / 3
 		}
 		p := tinyParams(cores)
-		p.L1 = cachesim.Config{SizeBytes: 32 * 2 * l1Ways, Ways: l1Ways, LineBytes: 32}
+		// data[1] picks the L1's Access branch. Bit 1 alone selects 8 ways
+		// (unrolled) and bit 3 alone a 20-way fully associative cache (the
+		// wide fallback), both under a 1 KiB L2 so they can fill. Otherwise
+		// bit 0 picks 2 ways (matchMask's loop) or 4 ways (unrolled). The
+		// corpus files that predate the 8- and 20-way cases all have bits 1
+		// and 3 clear, so they still decode to the same machine.
+		switch data[1] & 0x0a {
+		case 0x02:
+			p.L1 = cachesim.Config{SizeBytes: 32 * 2 * 8, Ways: 8, LineBytes: 32}
+			p.L2.SizeBytes = 1024
+		case 0x08:
+			p.L1 = cachesim.Config{SizeBytes: 32 * 20, Ways: 20, LineBytes: 32, FullyAssoc: true}
+			p.L2.SizeBytes = 1024
+		default:
+			l1Ways := 2 << (data[1] % 2)
+			p.L1 = cachesim.Config{SizeBytes: 32 * 2 * l1Ways, Ways: l1Ways, LineBytes: 32}
+		}
 		if data[4]&2 != 0 {
 			p.Prefetch = true
 			p.PrefetchEntries = 64
@@ -120,6 +137,7 @@ func FuzzBurstEquivalence(f *testing.F) {
 		if !reflect.DeepEqual(gotRes, wantRes) {
 			t.Errorf("results diverge:\nengine:  %+v\nper-ref: %+v", gotRes, wantRes)
 		}
+		checkConservation(t, gotRes)
 		for i := 0; i < cores; i++ {
 			if sys.clock[i] != oracle.clock[i] {
 				t.Errorf("core %d clock: engine %v, per-ref %v", i, sys.clock[i], oracle.clock[i])
