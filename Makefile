@@ -9,7 +9,8 @@
 #                         kernel vs reference model, ganged group vs
 #                         independent caches, trace arena codec round-trip,
 #                         persistent arena-store file round-trip, engine vs
-#                         the frozen per-reference oracle, directory vs
+#                         the frozen per-reference oracles of the private and
+#                         the shared-LLC machine, directory vs
 #                         broadcast vs that oracle, sampled vs full geometry,
 #                         trace-file readers on arbitrary bytes, the -sample
 #                         and -mix grammars)
@@ -53,10 +54,15 @@ test:
 race:
 	$(GO) test -race -timeout 30m ./internal/trace/... ./internal/harness/... ./internal/experiments/... ./internal/cmp/...
 
-# Differential smoke: the packed kernel against the reference model, and the
-# ganged tag slab against independent caches, each under ten seconds of
-# fuzzed op sequences (the committed corpora always run as part of plain
-# `go test`; this explores beyond them).
+# Bounded fuzzing: ten fuzzers, each for ten seconds (the committed corpora
+# always run as part of plain `go test`; this explores beyond them). Six are
+# differential walls: the packed kernel against the reference model, the
+# ganged tag slab against independent caches, the stepping engine against
+# its frozen per-reference loops (FuzzBurstEquivalence, whose second arm is
+# the shared-LLC machine), the directory against that oracle, the sampled
+# machine against the full geometry, and the store's file round-trip. The
+# other four check the arena codec, the trace-file readers and the -sample
+# and -mix grammars on arbitrary input.
 fuzz:
 	$(GO) test ./internal/cachesim -run '^$$' -fuzz FuzzKernelEquivalence -fuzztime 10s
 	$(GO) test ./internal/cachesim -run '^$$' -fuzz FuzzGroupEquivalence -fuzztime 10s

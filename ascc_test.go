@@ -74,10 +74,8 @@ func TestEveryPolicyRuns(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", pol, err)
 		}
-		for i, c := range res.Cores {
-			if c.L2Accesses != c.L2LocalHits+c.L2RemoteHits+c.L2MemFills {
-				t.Errorf("%s core %d: access conservation broken", pol, i)
-			}
+		if err := res.Check(); err != nil {
+			t.Errorf("%s: %v", pol, err)
 		}
 	}
 }

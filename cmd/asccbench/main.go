@@ -134,6 +134,9 @@ func (o options) validate() error {
 	if o.cores > 0 && o.traces != "" {
 		return fmt.Errorf("-cores does not apply to -trace replays (supply one trace file per core instead)")
 	}
+	if o.cores&(o.cores-1) != 0 && (o.exp == "shared" || o.exp == "all") {
+		return fmt.Errorf("-cores %d cannot run the shared table (-exp %s): its aggregate LLC of %d private L2s needs a power-of-two set count, so use a power-of-two -cores", o.cores, o.exp, o.cores)
+	}
 	den, err := ascc.ParseSampleRatio(o.sample)
 	if err != nil {
 		return fmt.Errorf("-sample %s: want 1/N (e.g. 1/8) or off", o.sample)
@@ -261,6 +264,12 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	// A rejected flag combination is a usage error, like a retired or
+	// malformed flag: exit 2 before any simulation.
+	if err := o.validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "asccbench:", err)
+		os.Exit(2)
+	}
 	// All real work happens in run so its defers — in particular stopping
 	// the CPU profile and flushing the heap profile — execute before the
 	// process exits; os.Exit here would silently truncate the profiles.
@@ -270,11 +279,8 @@ func main() {
 	}
 }
 
-// run executes the selected mode under the (optional) profilers.
+// run executes the validated options' mode under the (optional) profilers.
 func run(o options) error {
-	if err := o.validate(); err != nil {
-		return err
-	}
 	if o.cpuprofile != "" {
 		f, err := os.Create(o.cpuprofile)
 		if err != nil {
@@ -351,9 +357,10 @@ func run(o options) error {
 	if err == nil && pool != nil {
 		// Write-behind: persist every stream arena this invocation grew,
 		// so the next process replays instead of regenerating. A no-op
-		// without -arena-store.
+		// without -arena-store. The results are printed, so a failure only
+		// warns (-prewarm, whose job is to persist, failed already).
 		if ferr := pool.FlushArenas(); ferr != nil {
-			return fmt.Errorf("flushing the arena store: %w", ferr)
+			fmt.Fprintln(os.Stderr, "asccbench: warning: arena store not written:", ferr)
 		}
 	}
 	return err

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -50,6 +51,11 @@ func TestValidate(t *testing.T) {
 		{"cores negative", func(o *options) { o.exp = "fig8"; o.cores = -4 }, "-cores"},
 		{"cores over mask", func(o *options) { o.exp = "fig8"; o.cores = 65 }, "-cores"},
 		{"cores with trace", func(o *options) { o.traces = "a.trc"; o.cores = 8 }, "-cores"},
+		{"cores 3 with exp shared", func(o *options) { o.exp = "shared"; o.cores = 3 }, "power-of-two"},
+		{"cores 6 with exp all", func(o *options) { o.exp = "all"; o.cores = 6 }, "power-of-two"},
+		{"cores 8 with exp shared ok", func(o *options) { o.exp = "shared"; o.cores = 8 }, ""},
+		{"cores 3 with exp fig8 ok", func(o *options) { o.exp = "fig8"; o.cores = 3 }, ""},
+		{"cores 3 with mix ok", func(o *options) { o.mix = "445+456"; o.cores = 3 }, ""},
 		{"arena store with exp ok", func(o *options) { o.exp = "all"; o.storeDir = "/tmp/arenas" }, ""},
 		{"arena store with mix ok", func(o *options) { o.mix = "445+456"; o.storeDir = "/tmp/arenas" }, ""},
 		{"prewarm ok", func(o *options) { o.prewarm = true; o.storeDir = "/tmp/arenas" }, ""},
@@ -319,4 +325,48 @@ func FuzzParseMix(f *testing.F) {
 			t.Fatalf("parseMix(%q) = %v, but its name %q re-parses to %v, %v", spec, ids, name, again, err)
 		}
 	})
+}
+
+// TestUnwritableStoreWarns: a finished run whose arena store cannot be
+// written (a regular file as the root: a read-only directory does not stop
+// root) prints its results, warns once on stderr and succeeds.
+func TestUnwritableStoreWarns(t *testing.T) {
+	dir := t.TempDir()
+	o := base()
+	o.mix = "445+456"
+	o.warmup, o.measure = 20_000, 50_000
+	o.parallel = 1
+	o.storeDir = filepath.Join(dir, "not-a-dir")
+	if err := os.WriteFile(o.storeDir, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.validate(); err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr := os.Stdout, os.Stderr
+	out, err := os.Create(filepath.Join(dir, "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	errf, err := os.Create(filepath.Join(dir, "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout, os.Stderr = out, errf
+	runErr := run(o)
+	os.Stdout, os.Stderr = stdout, stderr
+	out.Close()
+	errf.Close()
+	if runErr != nil {
+		t.Fatalf("run failed on an unwritable store: %v", runErr)
+	}
+	got, _ := os.ReadFile(out.Name())
+	if !strings.Contains(string(got), "weighted speedup") {
+		t.Errorf("results missing from stdout:\n%s", got)
+	}
+	warn, _ := os.ReadFile(errf.Name())
+	if lines := strings.Split(strings.TrimSpace(string(warn)), "\n"); len(lines) != 1 ||
+		!strings.Contains(lines[0], "warning: arena store not written") {
+		t.Errorf("stderr = %q, want one arena-store warning line", warn)
+	}
 }

@@ -1,7 +1,9 @@
 // Package cmp implements the chip-multiprocessor simulator: private L1/L2
 // hierarchies per core, MESI-style broadcast coherence between the private
 // L2s, the cooperative spilling/swap mechanics the policies drive, a
-// trace-driven timing model, and the shared-LLC alternative of §6.1.
+// trace-driven timing model, and the shared-LLC alternative of §6.1, which
+// shares the private machine's stepping engine and differs only below the
+// L1 (shared.go).
 //
 // The engine is deterministic: all inter-core interaction happens in one
 // serial frontier turn order, so experiments compare policies on
@@ -211,6 +213,27 @@ type Results struct {
 	Cores  []CoreStats
 }
 
+// Check verifies the statistics conservation identities on every core; a
+// violation is a simulator bug. ScaleSampled multiplies every term by the
+// same factor, so scaled results satisfy them too.
+func (r Results) Check() error {
+	for i, c := range r.Cores {
+		var broken string
+		switch {
+		case c.L1Accesses != c.L1Hits+c.L2Accesses:
+			broken = "L1 accesses != L1 hits + L2 accesses"
+		case c.L2Accesses != c.L2LocalHits+c.L2RemoteHits+c.L2MemFills:
+			broken = "L2 accesses != local hits + remote hits + fills"
+		case c.OffChip != c.L2MemFills+c.Writebacks+c.PrefIssued:
+			broken = "off-chip accesses != fills + writebacks + prefetches"
+		default:
+			continue
+		}
+		return fmt.Errorf("cmp: %s core %d: %s: %+v", r.Policy, i, broken, c)
+	}
+	return nil
+}
+
 // TotalOffChip sums off-chip accesses over the cores.
 func (r Results) TotalOffChip() uint64 {
 	var n uint64
@@ -236,10 +259,11 @@ func (r Results) Energy(e mem.Energy) float64 {
 // small enough that the per-core buffers stay resident in L1.
 const refBatch = 64
 
-// System is the private-LLC CMP.
+// System is the simulated CMP: the private-LLC machine New builds, or the
+// shared-LLC machine NewShared builds.
 type System struct {
 	p      Params
-	policy coop.Policy
+	policy coop.Policy // nil on the shared-LLC machine
 	gens   []trace.Generator
 	timing []CoreTiming
 
@@ -250,6 +274,7 @@ type System struct {
 	group *cachesim.CacheGroup
 	l2s   []*cachesim.Cache
 	pf    []*prefetch.Stride
+	llc   *cachesim.Cache // the shared-LLC machine's aggregate L2, else nil
 
 	bus     mem.Port
 	memPort mem.Port
@@ -276,45 +301,65 @@ type System struct {
 	lineShift uint
 }
 
-// New builds a system. gens and timing must have p.Cores entries; policy
-// must not be nil (use policies.NewBaseline() for the plain private LLC).
+// New builds the private-LLC CMP. gens and timing must have p.Cores entries;
+// policy must not be nil (policies.NewBaseline() is the plain private LLC).
 func New(p Params, gens []trace.Generator, timing []CoreTiming, policy coop.Policy) (*System, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if len(gens) != p.Cores || len(timing) != p.Cores {
-		return nil, fmt.Errorf("cmp: %d cores but %d generators / %d timings", p.Cores, len(gens), len(timing))
-	}
 	if policy == nil {
 		return nil, fmt.Errorf("cmp: nil policy")
 	}
-	spec, err := p.SampleSpec()
+	s, spec, err := newSystem(p, gens, timing)
 	if err != nil {
 		return nil, err
 	}
 	if spec != nil {
-		// Set-sampled fast path (DESIGN.md §16): compact the geometry to
-		// the sampled sets — everything below allocates and indexes 1/den
-		// of the L2 (and L1) sets — while the policy keeps seeing
-		// full-geometry set indices through the translating wrapper, so its
-		// SDM classes, PSEL training, per-set quotas and RNG draw sequence
-		// are exactly the full machine's on the same filtered streams.
+		// The policy keeps seeing full-geometry set indices through the
+		// translating wrapper, so its SDM classes, PSEL training, per-set
+		// quotas and RNG draw sequence are exactly the full machine's on
+		// the same filtered streams.
+		policy = wrapSampledPolicy(policy, spec)
+	}
+	s.policy = policy
+	s.group = cachesim.NewGroup(s.p.Cores, s.p.L2)
+	s.l2s = make([]*cachesim.Cache, s.p.Cores)
+	for i := range s.l2s {
+		s.l2s[i] = s.group.Cache(i)
+	}
+	if p.Prefetch {
+		s.pf = make([]*prefetch.Stride, p.Cores)
+		for i := range s.pf {
+			s.pf[i] = prefetch.NewStride(p.PrefetchEntries, p.PrefetchDegree)
+		}
+	}
+	return s, nil
+}
+
+// newSystem validates p and builds what both machines share, down to the
+// L1s. Under set sampling (DESIGN.md §16) it compacts both geometries to
+// the sampled sets and returns the spec.
+func newSystem(p Params, gens []trace.Generator, timing []CoreTiming) (*System, *trace.SampleSpec, error) {
+	if err := p.Validate(); err != nil {
+		return nil, nil, err
+	}
+	if len(gens) != p.Cores || len(timing) != p.Cores {
+		return nil, nil, fmt.Errorf("cmp: %d cores but %d generators / %d timings", p.Cores, len(gens), len(timing))
+	}
+	spec, err := p.SampleSpec()
+	if err != nil {
+		return nil, nil, err
+	}
+	if spec != nil {
 		if p.L1, err = cachesim.SampledConfig(p.L1, p.SampleDen); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if p.L2, err = cachesim.SampledConfig(p.L2, p.SampleDen); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		policy = wrapSampledPolicy(policy, spec)
 	}
 	s := &System{
 		p:          p,
-		policy:     policy,
 		gens:       gens,
 		timing:     timing,
 		l1s:        make([]*cachesim.Cache, p.Cores),
-		group:      cachesim.NewGroup(p.Cores, p.L2),
-		l2s:        make([]*cachesim.Cache, p.Cores),
 		bus:        mem.Port{Occupancy: p.BusOccupancy},
 		memPort:    mem.Port{Occupancy: p.MemOccupancy},
 		clock:      make([]float64, p.Cores),
@@ -328,25 +373,13 @@ func New(p Params, gens []trace.Generator, timing []CoreTiming, policy coop.Poli
 	backing := make([]trace.Ref, p.Cores*refBatch)
 	for i := 0; i < p.Cores; i++ {
 		s.l1s[i] = cachesim.New(p.L1)
-		s.l2s[i] = s.group.Cache(i)
 		s.batches[i] = trace.Batch{
 			Refs: backing[i*refBatch : (i+1)*refBatch : (i+1)*refBatch],
 			Pos:  refBatch, // empty: first step refills
 		}
 	}
-	if p.Prefetch {
-		s.pf = make([]*prefetch.Stride, p.Cores)
-		for i := range s.pf {
-			s.pf[i] = prefetch.NewStride(p.PrefetchEntries, p.PrefetchDegree)
-		}
-	}
-	for ls := uint(0); ls < 32; ls++ {
-		if 1<<ls == p.L2.LineBytes {
-			s.lineShift = ls
-			break
-		}
-	}
-	return s, nil
+	s.lineShift = uint(bits.TrailingZeros(uint(p.L2.LineBytes))) // a validated power of two
+	return s, spec, nil
 }
 
 // L2 exposes core i's private LLC (tests, harness introspection).
@@ -379,7 +412,10 @@ func (s *System) Run(warmup, instrPerCore uint64) Results {
 		s.memPort.Reset()
 	}
 	s.runPhase(instrPerCore)
-	res := Results{Policy: s.policy.Name(), Cores: make([]CoreStats, s.p.Cores)}
+	res := Results{Policy: "shared-LLC", Cores: make([]CoreStats, s.p.Cores)}
+	if s.policy != nil {
+		res.Policy = s.policy.Name()
+	}
 	copy(res.Cores, s.frozen)
 	return res
 }
@@ -402,12 +438,13 @@ func (s *System) Run(warmup, instrPerCore uint64) Results {
 // remainder, so no reference is ever probed twice. The burst accounting is
 // folded into CoreStats once per event, and s.clock[c] is published lazily
 // — its only readers are the bus/memory queueing models reached through
-// l2Demand, and the frontier scan above, both of which run only after a
-// publish. The differential oracle for all of this is the frozen
-// per-reference loop in refstep_test.go (FuzzBurstEquivalence).
+// the miss descent, and the frontier scan above, both of which run only
+// after a publish. The differential oracles for all of this are the frozen
+// per-reference loops in refstep_test.go (FuzzBurstEquivalence).
 //
-// This is the only below-L1 engine; DESIGN.md §12 records the alternatives
-// that measured slower.
+// Both machines step here and branch only at the miss descent and the
+// store-hit upgrade. DESIGN.md §12 records the alternatives that measured
+// slower, and why the shared machine needs no more seams.
 func (s *System) runPhase(quota uint64) {
 	n := s.p.Cores
 	shift := s.lineShift
@@ -475,17 +512,26 @@ func (s *System) runPhase(quota uint64) {
 				// transition happen here (the frozen per-reference access's
 				// logic in refstep_test.go, sans re-probe).
 				// The upgrade's latency is 0, so the clock is unchanged.
-				line := l1.Line(l1.SetIndex(block), way)
-				s.writeThroughHit(c, block)
-				line.State = cachesim.Modified
+				if s.llc != nil {
+					s.sharedWriteThrough(c, block) // leaves the marker clear
+				} else {
+					line := l1.Line(l1.SetIndex(block), way)
+					s.writeThroughHit(c, block)
+					line.State = cachesim.Modified
+				}
 			case cachesim.BurstMiss:
 				// The kernel counted the set-level miss and the reference's
 				// instruction-gap clock add; only the descent below the L1
-				// remains. l2Demand reads s.clock[c] (bus and memory
+				// remains. Both descents read s.clock[c] (bus and memory
 				// queueing), so the lazy clock is published first.
 				accesses++
 				s.clock[c] = clock
-				lat := s.l2Demand(c, block, write)
+				var lat float64
+				if s.llc != nil {
+					lat = s.sharedDemand(c, block, write)
+				} else {
+					lat = s.l2Demand(c, block, write)
+				}
 				clock += lat * t.Overlap
 				s.clock[c] = clock
 			}
@@ -499,7 +545,7 @@ func (s *System) runPhase(quota uint64) {
 		// the lazy clock, once per turn: the register state above is the
 		// only live copy between events, so nothing mid-turn reads
 		// CoreStats' instruction/L1/cycle fields — and s.clock[c] only
-		// before descending into l2Demand (DESIGN.md §11).
+		// before the miss descent (DESIGN.md §11).
 		st.Instructions = instr
 		st.L1Accesses += accesses
 		st.L1Hits += allHits

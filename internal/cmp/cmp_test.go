@@ -1,6 +1,7 @@
 package cmp
 
 import (
+	"strings"
 	"testing"
 
 	"ascc/internal/cachesim"
@@ -81,24 +82,27 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// checkConservation asserts the statistics identities every run must keep,
-// per core: each L1 access hits or descends to the L2, each L2 demand access
-// is served locally, remotely or by a memory fill, and each off-chip access
-// is a fill, a writeback or a prefetch fetch.
-func checkConservation(t *testing.T, res Results) {
-	t.Helper()
-	for i, c := range res.Cores {
-		if c.L1Accesses != c.L1Hits+c.L2Accesses {
-			t.Errorf("core %d: %d L1 accesses != %d hits + %d L2 accesses", i,
-				c.L1Accesses, c.L1Hits, c.L2Accesses)
-		}
-		if c.L2Accesses != c.L2LocalHits+c.L2RemoteHits+c.L2MemFills {
-			t.Errorf("core %d: %d L2 accesses != %d + %d + %d", i,
-				c.L2Accesses, c.L2LocalHits, c.L2RemoteHits, c.L2MemFills)
-		}
-		if c.OffChip != c.L2MemFills+c.Writebacks+c.PrefIssued {
-			t.Errorf("core %d: %d off-chip != %d fills + %d writebacks + %d prefetches", i,
-				c.OffChip, c.L2MemFills, c.Writebacks, c.PrefIssued)
+// TestResultsCheck feeds Check one consistent core and then breaks each
+// identity in turn.
+func TestResultsCheck(t *testing.T) {
+	ok := CoreStats{
+		L1Accesses: 10, L1Hits: 4, L2Accesses: 6,
+		L2LocalHits: 1, L2RemoteHits: 2, L2MemFills: 3,
+		Writebacks: 2, PrefIssued: 1, OffChip: 6,
+	}
+	if err := (Results{Cores: []CoreStats{ok, ok}}).Check(); err != nil {
+		t.Fatalf("consistent results rejected: %v", err)
+	}
+	for name, broken := range map[string]func(*CoreStats){
+		"L1":       func(c *CoreStats) { c.L1Hits++ },
+		"L2":       func(c *CoreStats) { c.L2RemoteHits++ },
+		"off-chip": func(c *CoreStats) { c.Writebacks++ },
+	} {
+		bad := ok
+		broken(&bad)
+		err := (Results{Policy: "p", Cores: []CoreStats{ok, bad}}).Check()
+		if err == nil || !strings.Contains(err.Error(), "core 1") {
+			t.Errorf("%s identity broken on core 1: Check returned %v", name, err)
 		}
 	}
 }
@@ -114,7 +118,9 @@ func TestAccessConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := sys.Run(0, 5000)
-	checkConservation(t, res)
+	if err := res.Check(); err != nil {
+		t.Error(err)
+	}
 	for i, c := range res.Cores {
 		if c.Instructions < 5000 {
 			t.Errorf("core %d committed %d instructions, want >= 5000", i, c.Instructions)
@@ -408,7 +414,7 @@ func TestResultsAggregates(t *testing.T) {
 	}
 }
 
-func TestSharedSystemRuns(t *testing.T) {
+func TestSharedLLCRuns(t *testing.T) {
 	sp := DefaultSharedParams(2, 8)
 	gens, profs, err := workload.BuildMix([]int{445, 456}, 3, 8)
 	if err != nil {
@@ -426,9 +432,12 @@ func TestSharedSystemRuns(t *testing.T) {
 	if res.Policy != "shared-LLC" {
 		t.Fatalf("policy name %q", res.Policy)
 	}
+	if err := res.Check(); err != nil {
+		t.Error(err)
+	}
 	for i, c := range res.Cores {
-		if c.L2Accesses != c.L2LocalHits+c.L2MemFills {
-			t.Errorf("core %d: shared conservation broken: %+v", i, c)
+		if c.L2RemoteHits != 0 || c.SpillsOut != 0 || c.BusTransfers != 0 {
+			t.Errorf("core %d: the shared LLC has no peers to hit or spill to: %+v", i, c)
 		}
 		if c.Instructions < 20000 {
 			t.Errorf("core %d under quota", i)

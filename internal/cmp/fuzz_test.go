@@ -22,7 +22,9 @@ import (
 // 64-ref batch), an L1 on every branch of cachesim's Access (the
 // unrolled 4- and 8-way rows, matchMask's loop at 2 ways, and the wide
 // fallback of a fully associative cache past 16 ways), and the
-// prefetcher. Every case also checks statistics conservation.
+// prefetcher. Every case also checks statistics conservation. At 1 and 2
+// cores a second arm runs the shared-LLC machine (NewShared) on the same
+// streams against its own frozen per-reference loop (refSharedRun).
 func FuzzBurstEquivalence(f *testing.F) {
 	f.Add([]byte("burst-kernel-seed"))
 	f.Add([]byte{3, 1, 1, 9, 1, 0x10, 2, 1, 0x31, 5, 0, 0x52, 7, 1})
@@ -137,7 +139,9 @@ func FuzzBurstEquivalence(f *testing.F) {
 		if !reflect.DeepEqual(gotRes, wantRes) {
 			t.Errorf("results diverge:\nengine:  %+v\nper-ref: %+v", gotRes, wantRes)
 		}
-		checkConservation(t, gotRes)
+		if err := gotRes.Check(); err != nil {
+			t.Error(err)
+		}
 		for i := 0; i < cores; i++ {
 			if sys.clock[i] != oracle.clock[i] {
 				t.Errorf("core %d clock: engine %v, per-ref %v", i, sys.clock[i], oracle.clock[i])
@@ -149,6 +153,48 @@ func FuzzBurstEquivalence(f *testing.F) {
 			compareCaches(t, "L1", i, sys.l1s[i], oracle.l1s[i])
 			compareCaches(t, "L2", i, sys.L2(i), oracle.L2(i))
 		}
+
+		// The shared-LLC arm: the same L1s and streams over one aggregate
+		// L2 of cores x the private capacity (a power-of-two set count, so
+		// 1 or 2 cores), against the frozen shared loop (refSharedRun). A
+		// non-zero memory occupancy makes the queueing model read the lazily
+		// published clock.
+		if cores&(cores-1) != 0 {
+			return
+		}
+		buildShared := func() *System {
+			gens := make([]trace.Generator, cores)
+			for i := range gens {
+				gens[i] = script(i)
+			}
+			sys, err := NewShared(SharedParams{
+				Cores:            cores,
+				L1:               p.L1,
+				L2:               cachesim.Config{SizeBytes: p.L2.SizeBytes * cores, Ways: p.L2.Ways, LineBytes: p.L2.LineBytes},
+				HitCycles:        2 * p.L2LocalHitCycles,
+				MemLatencyCycles: p.MemLatencyCycles,
+				MemOccupancy:     16,
+			}, gens, timing)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sys
+		}
+		shared, sharedOracle := buildShared(), buildShared()
+		gotRes, wantRes = shared.Run(warmup, quota), sharedOracle.refSharedRun(warmup, quota)
+		if !reflect.DeepEqual(gotRes, wantRes) {
+			t.Errorf("shared results diverge:\nengine:  %+v\nper-ref: %+v", gotRes, wantRes)
+		}
+		if err := gotRes.Check(); err != nil {
+			t.Error(err)
+		}
+		for i := 0; i < cores; i++ {
+			if shared.clock[i] != sharedOracle.clock[i] {
+				t.Errorf("shared core %d clock: engine %v, per-ref %v", i, shared.clock[i], sharedOracle.clock[i])
+			}
+			compareCaches(t, "sharedL1", i, shared.l1s[i], sharedOracle.l1s[i])
+		}
+		compareCaches(t, "sharedL2", 0, shared.llc, sharedOracle.llc)
 	})
 }
 

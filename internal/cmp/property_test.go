@@ -68,11 +68,8 @@ func checkSystemInvariants(t *testing.T, sys *System, res Results, label string)
 			t.Errorf("%s: dirty block %#x in %d caches", label, tag, n)
 		}
 	}
-	for i, c := range res.Cores {
-		if c.L2Accesses != c.L2LocalHits+c.L2RemoteHits+c.L2MemFills {
-			t.Errorf("%s: core %d: conservation broken (%d != %d+%d+%d)",
-				label, i, c.L2Accesses, c.L2LocalHits, c.L2RemoteHits, c.L2MemFills)
-		}
+	if err := res.Check(); err != nil {
+		t.Errorf("%s: %v", label, err)
 	}
 }
 

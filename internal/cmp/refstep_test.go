@@ -123,3 +123,113 @@ func (s *System) refRun(warmup, instrPerCore uint64) Results {
 	copy(res.Cores, s.frozen)
 	return res
 }
+
+// The shared-LLC machine's own per-reference loop, frozen the same way: the
+// runPhase and access of the separate simulator type that ran §6.1 before
+// NewShared built a System over the burst engine. Verbatim except for the
+// receiver (*System), the aggregate L2's field name (llc), its hit latency
+// (Params.L2LocalHitCycles) and the write-through's name
+// (sharedWriteThrough). It pulls references straight from the generators,
+// so an oracle System must not share generators with the engine under
+// test. FuzzBurstEquivalence compares the engine against it.
+
+// refSharedRun mirrors System.Run over the frozen shared-LLC loop.
+func (s *System) refSharedRun(warmup, instrPerCore uint64) Results {
+	if warmup > 0 {
+		s.refSharedRunPhase(warmup)
+		for i := range s.live {
+			s.live[i] = CoreStats{}
+			s.clock[i] = 0
+			s.done[i] = false
+		}
+		s.memPort.Reset()
+	}
+	s.refSharedRunPhase(instrPerCore)
+	res := Results{Policy: "shared-LLC", Cores: make([]CoreStats, s.p.Cores)}
+	copy(res.Cores, s.frozen)
+	return res
+}
+
+func (s *System) refSharedRunPhase(quota uint64) {
+	for {
+		c := -1
+		best := 0.0
+		for i := 0; i < s.p.Cores; i++ {
+			if !s.done[i] && (c == -1 || s.clock[i] < best) {
+				c = i
+				best = s.clock[i]
+			}
+		}
+		if c == -1 {
+			return
+		}
+		ref := s.gens[c].Next()
+		st := &s.live[c]
+		t := s.timing[c]
+		instr := uint64(ref.Gap) + 1
+		st.Instructions += instr
+		s.clock[c] += float64(instr) * t.BaseCPI
+		lat := s.refSharedAccess(c, ref)
+		s.clock[c] += lat * t.Overlap
+		st.Cycles = s.clock[c]
+		if st.Instructions >= quota {
+			s.frozen[c] = *st
+			s.done[c] = true
+		}
+	}
+}
+
+func (s *System) refSharedAccess(c int, ref trace.Ref) float64 {
+	block := ref.Addr >> s.lineShift
+	st := &s.live[c]
+	st.L1Accesses++
+	if _, hit := s.l1s[c].Access(block); hit {
+		st.L1Hits++
+		if ref.Write {
+			s.sharedWriteThrough(c, block)
+		}
+		return 0
+	}
+	st.L2Accesses++
+	w, hit := s.llc.Access(block)
+	var lat float64
+	if hit {
+		line := s.llc.Line(s.llc.SetIndex(block), w)
+		if ref.Write {
+			s.invalidatePeerL1s(block, c)
+			line.Dirty = true
+			line.State = cachesim.Modified
+		}
+		st.L2LocalHits++
+		lat = s.p.L2LocalHitCycles
+	} else {
+		mqd := s.memPort.Request(s.clock[c])
+		st.QueueDelay += mqd
+		lat = s.p.MemLatencyCycles + mqd
+		st.L2MemFills++
+		st.OffChip++
+		state := cachesim.Exclusive
+		if ref.Write {
+			state = cachesim.Modified
+			s.invalidatePeerL1s(block, c)
+		}
+		ev := s.llc.Insert(block, cachesim.InsertMRU, cachesim.Line{State: state, Dirty: ref.Write, Owner: int16(c)})
+		if ev.Valid() {
+			// Inclusion: back-invalidate every L1.
+			for i := range s.l1s {
+				s.l1s[i].Invalidate(ev.Tag)
+			}
+			if ev.Dirty {
+				mq := s.memPort.Request(s.clock[c])
+				st.QueueDelay += mq
+				st.Writebacks++
+				st.OffChip++
+			}
+		}
+	}
+	if _, ok := s.l1s[c].Lookup(block); !ok {
+		s.l1s[c].Insert(block, cachesim.InsertMRU, cachesim.Line{State: cachesim.Exclusive, Owner: int16(c)})
+	}
+	st.LatencySum += lat
+	return lat
+}

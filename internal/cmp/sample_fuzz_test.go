@@ -180,7 +180,7 @@ func FuzzSampleEquivalence(f *testing.F) {
 		// guard; OrigSet is pure residue arithmetic, so it maps the larger
 		// compact shared L2 back to full shared sets unchanged.
 		if cores&(cores-1) == 0 {
-			buildShared := func(sampleDen int) *SharedSystem {
+			buildShared := func(sampleDen int) *System {
 				sp := SharedParams{
 					Cores: cores,
 					L1:    p.L1,
@@ -218,12 +218,12 @@ func FuzzSampleEquivalence(f *testing.F) {
 				compareSampledCaches(t, "sharedL1", i, spec, sharedArm.l1s[i], sharedOracle.l1s[i], true)
 				checkUnsampledQuiet(t, "sharedL1", i, spec, sharedOracle.l1s[i], true)
 			}
-			compareSampledCaches(t, "sharedL2", 0, spec, sharedArm.l2, sharedOracle.l2, false)
-			for si := 0; si < sharedOracle.l2.NumSets(); si++ {
+			compareSampledCaches(t, "sharedL2", 0, spec, sharedArm.llc, sharedOracle.llc, false)
+			for si := 0; si < sharedOracle.llc.NumSets(); si++ {
 				if spec.KeepBlock(uint64(si)) {
 					continue
 				}
-				if st := sharedOracle.l2.SetStatsFor(si); st != (cachesim.SetStats{}) {
+				if st := sharedOracle.llc.SetStatsFor(si); st != (cachesim.SetStats{}) {
 					t.Errorf("shared L2 unsampled set %d saw traffic: %+v", si, st)
 				}
 			}
@@ -399,7 +399,7 @@ func TestSharedSampleTrueRestriction(t *testing.T) {
 		t.Fatal("no kept reference in the probe window")
 	}
 
-	build := func(sampleDen int) *SharedSystem {
+	build := func(sampleDen int) *System {
 		sp := SharedParams{
 			Cores:            1,
 			L1:               p.L1,
@@ -429,5 +429,5 @@ func TestSharedSampleTrueRestriction(t *testing.T) {
 		t.Errorf("instructions: sampled %d, full %d", got, want)
 	}
 	compareSampledCaches(t, "sharedL1", 0, spec, sampled.l1s[0], full.l1s[0], true)
-	compareSampledCaches(t, "sharedL2", 0, spec, sampled.l2, full.l2, false)
+	compareSampledCaches(t, "sharedL2", 0, spec, sampled.llc, full.llc, false)
 }

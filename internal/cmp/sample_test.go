@@ -85,7 +85,7 @@ func TestScaleSampled(t *testing.T) {
 		}
 		return sys
 	}
-	shared := func(den int) *SharedSystem {
+	shared := func(den int) *System {
 		p := sampleFuzzParams(cores)
 		sp := SharedParams{
 			Cores:            cores,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"ascc/internal/cachesim"
-	"ascc/internal/mem"
 	"ascc/internal/trace"
 )
 
@@ -22,14 +21,10 @@ type SharedParams struct {
 	MemLatencyCycles float64
 	MemOccupancy     float64
 
-	// SampleDen, when > 1, runs the shared machine on the set-sampled fast
-	// path (DESIGN.md §16): both geometries are compacted to 1/SampleDen of
-	// their sets and the caller feeds streams filtered with the private
-	// machine's SampleSpec (the aggregate L2's set count is a multiple of
-	// the same residue granule, so one filtered stream serves both
-	// machines). The shared machine is purely set-local — per-set LRU, no
-	// cooperative policy — so the closure argument needs no policy
-	// translation here at all.
+	// SampleDen, when > 1, runs the set-sampled fast path (DESIGN.md §16) on
+	// streams filtered with the private machine's SampleSpec: the aggregate
+	// L2's set count is a multiple of the same residue granule, and with no
+	// cooperative policy there is nothing to translate.
 	SampleDen int
 }
 
@@ -38,160 +33,53 @@ type SharedParams struct {
 // the paper's "almost twice / almost four times" description.
 func DefaultSharedParams(cores, scale int) SharedParams {
 	p := DefaultParams(cores, scale)
-	hit := p.L2LocalHitCycles * float64(cores)
-	if hit < 2*p.L2LocalHitCycles {
-		hit = 2 * p.L2LocalHitCycles
-	}
 	return SharedParams{
-		Cores: cores,
-		L1:    p.L1,
-		L2: cachesim.Config{
-			SizeBytes: p.L2.SizeBytes * cores,
-			Ways:      p.L2.Ways,
-			LineBytes: p.L2.LineBytes,
-		},
-		HitCycles:        hit,
+		Cores:            cores,
+		L1:               p.L1,
+		L2:               cachesim.Config{SizeBytes: p.L2.SizeBytes * cores, Ways: p.L2.Ways, LineBytes: p.L2.LineBytes},
+		HitCycles:        p.L2LocalHitCycles * float64(max(cores, 2)),
 		MemLatencyCycles: p.MemLatencyCycles,
 		MemOccupancy:     p.MemOccupancy,
 	}
 }
 
-// SharedSystem simulates the shared-LLC CMP. All caches are write-back in
-// this configuration (paper §6.1).
-type SharedSystem struct {
-	p      SharedParams
-	gens   []trace.Generator
-	timing []CoreTiming
-
-	l1s []*cachesim.Cache
-	l2  *cachesim.Cache
-
-	memPort mem.Port
-
-	clock  []float64
-	live   []CoreStats
-	frozen []CoreStats
-	done   []bool
-
-	lineShift uint
-}
-
-// NewShared builds the shared-LLC system.
-func NewShared(p SharedParams, gens []trace.Generator, timing []CoreTiming) (*SharedSystem, error) {
-	if p.Cores <= 0 {
-		return nil, fmt.Errorf("cmp: non-positive core count %d", p.Cores)
-	}
-	if p.SampleDen > 1 {
-		var err error
-		if p.L1, err = cachesim.SampledConfig(p.L1, p.SampleDen); err != nil {
-			return nil, err
-		}
-		if p.L2, err = cachesim.SampledConfig(p.L2, p.SampleDen); err != nil {
-			return nil, err
-		}
-	}
-	if err := p.L1.Validate(); err != nil {
+// NewShared builds the shared-LLC CMP: the private machine's cores, L1s
+// and stepping engine over one aggregate L2. All caches are write-back in
+// this configuration (paper §6.1). The machine keeps the exact per-reference
+// sync (Params.SyncSlack 0) at every fidelity.
+func NewShared(sp SharedParams, gens []trace.Generator, timing []CoreTiming) (*System, error) {
+	s, _, err := newSystem(Params{
+		Cores:            sp.Cores,
+		L1:               sp.L1,
+		L2:               sp.L2,
+		L2LocalHitCycles: sp.HitCycles,
+		MemLatencyCycles: sp.MemLatencyCycles,
+		MemOccupancy:     sp.MemOccupancy,
+		SampleDen:        sp.SampleDen,
+	}, gens, timing)
+	if err != nil {
 		return nil, err
 	}
-	if err := p.L2.Validate(); err != nil {
-		return nil, err
-	}
-	if len(gens) != p.Cores || len(timing) != p.Cores {
-		return nil, fmt.Errorf("cmp: %d cores but %d generators / %d timings", p.Cores, len(gens), len(timing))
-	}
-	s := &SharedSystem{
-		p:       p,
-		gens:    gens,
-		timing:  timing,
-		l1s:     make([]*cachesim.Cache, p.Cores),
-		l2:      cachesim.New(p.L2),
-		memPort: mem.Port{Occupancy: p.MemOccupancy},
-		clock:   make([]float64, p.Cores),
-		live:    make([]CoreStats, p.Cores),
-		frozen:  make([]CoreStats, p.Cores),
-		done:    make([]bool, p.Cores),
-	}
-	for i := range s.l1s {
-		s.l1s[i] = cachesim.New(p.L1)
-	}
-	for ls := uint(0); ls < 32; ls++ {
-		if 1<<ls == p.L2.LineBytes {
-			s.lineShift = ls
-			break
-		}
-	}
+	s.llc = cachesim.New(s.p.L2)
 	return s, nil
 }
 
-// Run mirrors System.Run for the shared configuration.
-func (s *SharedSystem) Run(warmup, instrPerCore uint64) Results {
-	if warmup > 0 {
-		s.runPhase(warmup)
-		for i := range s.live {
-			s.live[i] = CoreStats{}
-			s.clock[i] = 0
-			s.done[i] = false
-		}
-		s.memPort.Reset()
-	}
-	s.runPhase(instrPerCore)
-	res := Results{Policy: "shared-LLC", Cores: make([]CoreStats, s.p.Cores)}
-	copy(res.Cores, s.frozen)
-	return res
-}
-
-func (s *SharedSystem) runPhase(quota uint64) {
-	for {
-		c := -1
-		best := 0.0
-		for i := 0; i < s.p.Cores; i++ {
-			if !s.done[i] && (c == -1 || s.clock[i] < best) {
-				c = i
-				best = s.clock[i]
-			}
-		}
-		if c == -1 {
-			return
-		}
-		ref := s.gens[c].Next()
-		st := &s.live[c]
-		t := s.timing[c]
-		instr := uint64(ref.Gap) + 1
-		st.Instructions += instr
-		s.clock[c] += float64(instr) * t.BaseCPI
-		lat := s.access(c, ref)
-		s.clock[c] += lat * t.Overlap
-		st.Cycles = s.clock[c]
-		if st.Instructions >= quota {
-			s.frozen[c] = *st
-			s.done[c] = true
-		}
-	}
-}
-
-func (s *SharedSystem) access(c int, ref trace.Ref) float64 {
-	block := ref.Addr >> s.lineShift
+// sharedDemand handles an L1 miss on the shared-LLC machine: the aggregate
+// L2 at the uniform banked latency (Params.L2LocalHitCycles), else memory.
+func (s *System) sharedDemand(c int, block uint64, write bool) float64 {
 	st := &s.live[c]
-	st.L1Accesses++
-	if _, hit := s.l1s[c].Access(block); hit {
-		st.L1Hits++
-		if ref.Write {
-			s.writeThrough(c, block)
-		}
-		return 0
-	}
 	st.L2Accesses++
-	w, hit := s.l2.Access(block)
+	w, hit := s.llc.Access(block)
 	var lat float64
 	if hit {
-		line := s.l2.Line(s.l2.SetIndex(block), w)
-		if ref.Write {
+		line := s.llc.Line(s.llc.SetIndex(block), w)
+		if write {
 			s.invalidatePeerL1s(block, c)
 			line.Dirty = true
 			line.State = cachesim.Modified
 		}
 		st.L2LocalHits++
-		lat = s.p.HitCycles
+		lat = s.p.L2LocalHitCycles
 	} else {
 		mqd := s.memPort.Request(s.clock[c])
 		st.QueueDelay += mqd
@@ -199,11 +87,11 @@ func (s *SharedSystem) access(c int, ref trace.Ref) float64 {
 		st.L2MemFills++
 		st.OffChip++
 		state := cachesim.Exclusive
-		if ref.Write {
+		if write {
 			state = cachesim.Modified
 			s.invalidatePeerL1s(block, c)
 		}
-		ev := s.l2.Insert(block, cachesim.InsertMRU, cachesim.Line{State: state, Dirty: ref.Write, Owner: int16(c)})
+		ev := s.llc.Insert(block, cachesim.InsertMRU, cachesim.Line{State: state, Dirty: write, Owner: int16(c)})
 		if ev.Valid() {
 			// Inclusion: back-invalidate every L1.
 			for i := range s.l1s {
@@ -217,27 +105,28 @@ func (s *SharedSystem) access(c int, ref trace.Ref) float64 {
 			}
 		}
 	}
-	if _, ok := s.l1s[c].Lookup(block); !ok {
-		s.l1s[c].Insert(block, cachesim.InsertMRU, cachesim.Line{State: cachesim.Exclusive, Owner: int16(c)})
-	}
+	s.fillL1(c, block)
 	st.LatencySum += lat
 	return lat
 }
 
-// writeThrough propagates an L1 store hit into the shared L2 and keeps peer
-// L1s coherent.
-func (s *SharedSystem) writeThrough(c int, block uint64) {
-	w, ok := s.l2.Lookup(block)
+// sharedWriteThrough propagates an L1 store hit into the shared L2 and
+// keeps peer L1s coherent. The caller leaves the L1 line's Modified marker
+// clear: a peer's later read re-shares the block without clearing it, so
+// only writing through on every store hit keeps that peer's copy from
+// going stale.
+func (s *System) sharedWriteThrough(c int, block uint64) {
+	w, ok := s.llc.Lookup(block)
 	if !ok {
 		panic(fmt.Sprintf("cmp: inclusion violated: block %#x in L1[%d] but not the shared L2", block, c))
 	}
 	s.invalidatePeerL1s(block, c)
-	line := s.l2.Line(s.l2.SetIndex(block), w)
+	line := s.llc.Line(s.llc.SetIndex(block), w)
 	line.Dirty = true
 	line.State = cachesim.Modified
 }
 
-func (s *SharedSystem) invalidatePeerL1s(block uint64, c int) {
+func (s *System) invalidatePeerL1s(block uint64, c int) {
 	for i := range s.l1s {
 		if i != c {
 			s.l1s[i].Invalidate(block)

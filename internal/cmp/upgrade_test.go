@@ -1,6 +1,7 @@
 package cmp
 
 import (
+	"reflect"
 	"testing"
 
 	"ascc/internal/cachesim"
@@ -180,5 +181,59 @@ func TestDowngradeClearsL1Marker(t *testing.T) {
 	}
 	if _, ok := s.l2s[1].Lookup(block); ok {
 		t.Error("post-downgrade store left the peer copy valid")
+	}
+}
+
+// TestSharedStoreHitAfterPeerRead pins the shared-LLC machine's store-hit
+// rule through the stepping engine: core 0 stores to X twice, core 1 reads
+// X, and core 0 stores to X again. The last store hits core 0's L1 and must
+// still write through and drop core 1's copy. An upgrade that marked the
+// L1 line Modified would let that store stay in the burst kernel and leave
+// core 1 reading a stale copy, because a peer's read never clears the
+// marker on the shared machine.
+func TestSharedStoreHitAfterPeerRead(t *testing.T) {
+	const x, w, z = 0, 1, 3 // blocks: X in L1 set 0, the fillers in set 1
+	ref := func(block uint64, gap int32, write bool) trace.Ref {
+		return trace.Ref{Addr: block * 32, Gap: gap, Write: write}
+	}
+	// Clocks (BaseCPI 1, Overlap 0.5, 230-cycle effective memory latency):
+	// core 0 stores X at 0 and 231, then its filler jumps it to 3463; core
+	// 1's filler jumps it to 2231, where it reads X, then retires. Core 0's
+	// third store runs last.
+	build := func() *System {
+		p := tinyParams(2)
+		sys, err := NewShared(SharedParams{
+			Cores:            2,
+			L1:               p.L1,
+			L2:               cachesim.Config{SizeBytes: 2 * p.L2.SizeBytes, Ways: p.L2.Ways, LineBytes: p.L2.LineBytes},
+			HitCycles:        18,
+			MemLatencyCycles: p.MemLatencyCycles,
+		}, []trace.Generator{
+			&scriptGen{name: "writer", refs: []trace.Ref{ref(x, 0, true), ref(x, 0, true), ref(w, 3000, false), ref(x, 0, true)}},
+			&scriptGen{name: "reader", refs: []trace.Ref{ref(z, 2000, false), ref(x, 0, false), ref(z, 100000, false)}},
+		}, evenTiming(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	const quota = 1 + 1 + 3001 + 1 // core 0's four references
+	s, oracle := build(), build()
+	res := s.Run(0, quota)
+	if want := oracle.refSharedRun(0, quota); !reflect.DeepEqual(res, want) {
+		t.Fatalf("engine %+v, per-reference loop %+v", res, want)
+	}
+	if got := res.Cores[1].L2LocalHits; got != 1 {
+		t.Fatalf("core 1 read X from the shared L2 %d times, want 1 (script out of order)", got)
+	}
+	if _, ok := s.l1s[1].Lookup(x); ok {
+		t.Error("core 0's store hit left core 1's L1 copy of X valid")
+	}
+	wy, ok := s.llc.Lookup(x)
+	if !ok {
+		t.Fatal("X left the shared L2")
+	}
+	if l := s.llc.Line(s.llc.SetIndex(x), wy); !l.Dirty || l.State != cachesim.Modified {
+		t.Errorf("shared L2 copy of X = %+v, want dirty and Modified", *l)
 	}
 }

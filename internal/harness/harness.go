@@ -77,7 +77,8 @@ type Config struct {
 	// multi-core results differ only through cross-core interleave.
 	// Ignored (full fidelity) when Prefetch is set — the stride prefetcher
 	// crosses set boundaries. Experiments that inspect per-set state
-	// (fig1, fig2) or run the shared-LLC machine clear it internally.
+	// (fig1, fig2) clear it internally; the shared-LLC machine samples with
+	// the same spec (cmp.SharedParams.SampleDen).
 	SampleDen int
 
 	// pool, when non-nil, is the worker pool shared by every Runner built
@@ -449,17 +450,10 @@ func (r *Runner) mixJob(mix []int) (job, error) {
 	return job{kind: "mix", gens: gens, timing: timing, p: r.Cfg.params(len(mix))}, nil
 }
 
-// machine is a built simulation: a private-LLC cmp.System or the shared-LLC
-// cmp.SharedSystem.
-type machine interface {
-	Run(warmup, instrPerCore uint64) cmp.Results
-	ScaleSampled(cmp.Results) cmp.Results
-}
-
 // build is the one place a Runner assembles a simulated machine: it swaps
 // the job's streams for arena replayers (filtered to the sampled sets when
 // j.p samples) and wires the machine the job names around them.
-func (r *Runner) build(j job) (machine, error) {
+func (r *Runner) build(j job) (*cmp.System, error) {
 	gens, err := r.replayGens(j.kind, j.gens, j.p)
 	if err != nil {
 		return nil, err
@@ -486,15 +480,19 @@ func (r *Runner) build(j job) (machine, error) {
 }
 
 // run simulates a machine fresh from build while holding a pool worker
-// slot, and rescales a set-sampled run to full-run magnitudes. It takes
-// build's results as they come: r.run(r.build(j)).
-func (r *Runner) run(m machine, err error) (cmp.Results, error) {
+// slot, checks the statistics conservation identities (cmp.Results.Check),
+// and rescales a set-sampled run to full-run magnitudes. It takes build's
+// results as they come: r.run(r.build(j)).
+func (r *Runner) run(m *cmp.System, err error) (cmp.Results, error) {
 	if err != nil {
 		return cmp.Results{}, err
 	}
 	r.nSims.Add(1)
 	var res cmp.Results
 	r.pool.run(func() { res = m.Run(r.Cfg.WarmupInstr, r.Cfg.MeasureInstr) })
+	if err := res.Check(); err != nil {
+		return cmp.Results{}, err
+	}
 	return m.ScaleSampled(res), nil
 }
 
@@ -564,11 +562,7 @@ func (r *Runner) NewMixSystem(mix []int, id PolicyID) (*cmp.System, error) {
 		return nil, err
 	}
 	j.id = id
-	m, err := r.build(j)
-	if err != nil {
-		return nil, err
-	}
-	return m.(*cmp.System), nil
+	return r.build(j)
 }
 
 // RunMixWith runs a mix under an explicitly constructed policy (for the
@@ -641,7 +635,7 @@ func (r *Runner) RunSingle(id int, p cmp.Params) (cmp.Results, *cmp.System, erro
 	if err != nil {
 		return cmp.Results{}, nil, err
 	}
-	return res, m.(*cmp.System), nil
+	return res, m, nil
 }
 
 // Table is a renderable experiment result.

@@ -116,11 +116,20 @@ func TestPrewarmCoversSuiteStreams(t *testing.T) {
 }
 
 // TestPrewarmPreconditions: prewarming is meaningless without the store it
-// fills into.
+// fills into, so it fails without one and when the store cannot be written
+// (a regular file as the root: a read-only directory does not stop root).
 func TestPrewarmPreconditions(t *testing.T) {
 	noStore := arenaConfig()
 	if _, err := NewRunner(noStore).PrewarmArenas(); err == nil {
 		t.Fatal("prewarm without a store did not fail")
+	}
+	fileRoot := arenaConfig()
+	fileRoot.ArenaStoreDir = filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(fileRoot.ArenaStoreDir, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewRunner(fileRoot).PrewarmArenas(); err == nil {
+		t.Fatal("prewarm into an unwritable store did not fail")
 	}
 }
 

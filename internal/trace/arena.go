@@ -411,8 +411,9 @@ func (c *ArenaCache) Get(key string, src Generator) *Arena {
 // evict drops least-recently-used entries (never keep, which the caller is
 // about to use) until the cached packed bytes fit the budget. With a store
 // attached, a dirty arena is written behind before it is dropped, so
-// eviction costs one file write instead of a future regeneration pass.
-// Called with the lock held.
+// eviction costs one file write instead of a future regeneration pass. A
+// failed write-behind is dropped here (the store counts it) and costs that
+// regeneration pass after all. Called with the lock held.
 func (c *ArenaCache) evict(keep *arenaCacheEntry) {
 	if c.max <= 0 {
 		return

@@ -92,6 +92,7 @@ type Stats struct {
 	Misses  uint64 // loads that found no file for the key
 	Corrupt uint64 // loads that found a file and rejected it
 	Saves   uint64 // files published
+	Failed  uint64 // saves that returned an error, eviction write-behinds included
 }
 
 // Store is a persistent arena tier rooted at one directory. It implements
@@ -101,7 +102,7 @@ type Stats struct {
 type Store struct {
 	dir string
 
-	loads, misses, corrupt, saves atomic.Uint64
+	loads, misses, corrupt, saves, failed atomic.Uint64
 
 	mu     sync.Mutex
 	unmaps []func()
@@ -124,6 +125,7 @@ func (s *Store) Stats() Stats {
 		Misses:  s.misses.Load(),
 		Corrupt: s.corrupt.Load(),
 		Saves:   s.saves.Load(),
+		Failed:  s.failed.Load(),
 	}
 }
 
@@ -287,8 +289,15 @@ func payloadWords(data []byte, off int, nwords uint64, alias bool) []uint64 {
 // name. Concurrent savers of the same key each publish a complete file
 // and the last rename wins; concurrent readers see old-complete or
 // new-complete, never partial. An empty arena is skipped (nothing to
-// replay; a zero-length payload would just be rejected on load).
-func (s *Store) Save(key string, a *trace.Arena) error {
+// replay; a zero-length payload would just be rejected on load). Every
+// error is counted in Stats.Failed, so callers that drop it (the cache's
+// eviction write-behind) still leave a trace.
+func (s *Store) Save(key string, a *trace.Arena) (err error) {
+	defer func() {
+		if err != nil {
+			s.failed.Add(1)
+		}
+	}()
 	if len(key) == 0 || len(key) > maxKeyLen {
 		return fmt.Errorf("store: key length %d out of range", len(key))
 	}

@@ -468,3 +468,38 @@ func TestRemoveStaleTemps(t *testing.T) {
 		t.Fatalf("missing root: %v", err)
 	}
 }
+
+// TestStoreCountsFailedSaves roots a store at a regular file, so every
+// save fails: direct saves, flushes and the eviction write-behind the
+// cache otherwise drops without a word all land in Stats.Failed.
+func TestStoreCountsFailedSaves(t *testing.T) {
+	root := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(root, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := New(root)
+	defer s.Close()
+	a := trace.NewArena(testGen(1))
+	a.Extend(1000)
+	if err := s.Save("k", a); err == nil {
+		t.Fatal("save under a regular file succeeded")
+	}
+	if st := s.Stats(); st.Failed != 1 || st.Saves != 0 {
+		t.Fatalf("stats %+v after one failed save, want Failed 1", st)
+	}
+
+	c := trace.NewArenaCache(1) // any two arenas overshoot
+	c.SetStore(s)
+	c.Get("cold", testGen(5)).Extend(10_000)
+	c.Get("hot", testGen(6)).Extend(10_000)
+	c.Get("hot", testGen(6)) // sweep: evicts "cold", whose write-behind fails
+	if st := s.Stats(); st.Failed != 2 {
+		t.Fatalf("stats %+v after a failed eviction write-behind, want Failed 2", st)
+	}
+	if err := c.FlushStore(); err == nil {
+		t.Fatal("flush under a regular file succeeded")
+	}
+	if st := s.Stats(); st.Failed != 3 {
+		t.Fatalf("stats %+v after a failed flush of one arena, want Failed 3", st)
+	}
+}
